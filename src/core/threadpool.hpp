@@ -9,7 +9,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -38,25 +37,10 @@ class ThreadPool {
 
   /// Runs fn(begin, end) on contiguous chunks of [0, n), blocking until all
   /// chunks complete. The calling thread claims chunks alongside the
-  /// workers. Type-erased path, kept for std::function callers.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn) {
-    run(n, FnRef{const_cast<void*>(static_cast<const void*>(&fn)),
-                 [](void* f, std::size_t lo, std::size_t hi) {
-                   (*static_cast<
-                       const std::function<void(std::size_t, std::size_t)>*>(
-                       f))(lo, hi);
-                 }});
-  }
-
-  /// Templated fast path: references the callable in place for the
-  /// duration of the (blocking) call — no std::function allocation, one
-  /// indirect call per chunk instead of a type-erased dispatch per
-  /// boundary. This is what forall's lambda binds to.
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<
-                std::decay_t<F>,
-                std::function<void(std::size_t, std::size_t)>>>>
+  /// workers. The callable is referenced in place for the duration of the
+  /// (blocking) call — no std::function allocation, one indirect call per
+  /// chunk. A std::function binds here like any other callable.
+  template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
     using Fn = std::remove_reference_t<F>;
     run(n, FnRef{const_cast<void*>(static_cast<const void*>(&fn)),

@@ -65,6 +65,21 @@ struct Particles {
     std::fill(fz.begin(), fz.end(), 0.0);
   }
 
+  /// Velocity-Verlet half kick of particle i: v += dt/2 * f / m.
+  void half_kick(std::size_t i, double dt) {
+    const double inv_m = 1.0 / mass[i];
+    vx[i] += 0.5 * dt * fx[i] * inv_m;
+    vy[i] += 0.5 * dt * fy[i] * inv_m;
+    vz[i] += 0.5 * dt * fz[i] * inv_m;
+  }
+
+  /// Moves particle i by dt * v, folded back into the periodic box.
+  void drift(std::size_t i, double dt, const Box& box) {
+    x[i] = box.fold(x[i] + dt * vx[i]);
+    y[i] = box.fold(y[i] + dt * vy[i]);
+    z[i] = box.fold(z[i] + dt * vz[i]);
+  }
+
   double kinetic_energy() const {
     double ke = 0.0;
     for (std::size_t i = 0; i < n; ++i) {

@@ -1,15 +1,10 @@
 #include "md/replicated.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "core/exec.hpp"
-#include "core/rng.hpp"
-#include "md/forces.hpp"
-#include "md/potentials.hpp"
+#include "md/replica.hpp"
 
 namespace coe::md {
 
@@ -20,16 +15,8 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
 
   result.traffic = mpi::run(ranks, [&](mpi::Communicator& comm) {
     core::ExecContext ctx;
-    core::Rng rng(cfg.seed);  // same seed: identical replicas everywhere
-    Particles p;
-    Box box;
-    init_lattice(p, box, cfg.per_side, cfg.density, cfg.temperature, rng);
-    p.zero_momentum();
-    LennardJones pot(1.0, 1.0, cfg.rcut);
-    NeighborList nl(cfg.rcut, cfg.skin);
-    nl.build(ctx, p, box);
-
-    const std::size_t n = p.n;
+    MdReplica rep(cfg);
+    const std::size_t n = rep.n();
     const auto nr = static_cast<std::size_t>(ranks);
     const auto r = static_cast<std::size_t>(comm.rank());
     const std::size_t lo = n * r / nr;
@@ -45,66 +32,33 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
       logger.compute(s - logged_sim);
       logged_sim = s;
     };
-    double energy = 0.0, virial = 0.0;
 
     // Partial forces over this rank's row slice, then the global sum:
     // either one (3n+2)-wide collective carrying forces + energy + virial,
     // or the five-round separate form.
-    std::vector<double> agg(3 * n + 2);
     auto forces = [&] {
-      p.zero_forces();
-      const PairResult pr = compute_pair_forces(ctx, p, box, nl, pot, lo, hi);
+      rep.partial_forces(ctx, lo, hi);
       log_compute();
+      const std::span<double> agg = rep.agg();
       if (cfg.aggregate) {
-        std::copy(p.fx.begin(), p.fx.end(), agg.begin());
-        std::copy(p.fy.begin(), p.fy.end(), agg.begin() + n);
-        std::copy(p.fz.begin(), p.fz.end(), agg.begin() + 2 * n);
-        agg[3 * n] = pr.energy;
-        agg[3 * n + 1] = pr.virial;
         net::allreduce_sum(comm, agg, cfg.algo, &stats, logger);
-        std::copy(agg.begin(), agg.begin() + n, p.fx.begin());
-        std::copy(agg.begin() + n, agg.begin() + 2 * n, p.fy.begin());
-        std::copy(agg.begin() + 2 * n, agg.begin() + 3 * n, p.fz.begin());
-        energy = agg[3 * n];
-        virial = agg[3 * n + 1];
       } else {
-        net::allreduce_sum(comm, std::span<double>(p.fx), cfg.algo, &stats,
-                           logger);
-        net::allreduce_sum(comm, std::span<double>(p.fy), cfg.algo, &stats,
-                           logger);
-        net::allreduce_sum(comm, std::span<double>(p.fz), cfg.algo, &stats,
-                           logger);
-        energy =
-            net::allreduce_sum(comm, pr.energy, cfg.algo, &stats, logger);
-        virial =
-            net::allreduce_sum(comm, pr.virial, cfg.algo, &stats, logger);
+        for (std::size_t c = 0; c < 3; ++c) {
+          net::allreduce_sum(comm, agg.subspan(c * n, n), cfg.algo, &stats,
+                             logger);
+        }
+        for (std::size_t i = 3 * n; i < 3 * n + 2; ++i) {
+          agg[i] = net::allreduce_sum(comm, agg[i], cfg.algo, &stats, logger);
+        }
       }
+      rep.adopt_forces();
     };
 
     forces();
-    const double dt = cfg.dt;
     for (int s = 0; s < cfg.steps; ++s) {
-      ctx.record_kernel({9.0 * double(n), 96.0 * double(n)});
-      for (std::size_t i = 0; i < n; ++i) {
-        const double inv_m = 1.0 / p.mass[i];
-        p.vx[i] += 0.5 * dt * p.fx[i] * inv_m;
-        p.vy[i] += 0.5 * dt * p.fy[i] * inv_m;
-        p.vz[i] += 0.5 * dt * p.fz[i] * inv_m;
-        p.x[i] = box.fold(p.x[i] + dt * p.vx[i]);
-        p.y[i] = box.fold(p.y[i] + dt * p.vy[i]);
-        p.z[i] = box.fold(p.z[i] + dt * p.vz[i]);
-      }
-      // Positions are replica-identical, so every rank rebuilds (or not)
-      // in lockstep and the row slices stay consistent.
-      if (nl.needs_rebuild(p, box)) nl.build(ctx, p, box);
+      rep.half_kick_and_drift(ctx);
       forces();
-      ctx.record_kernel({6.0 * double(n), 96.0 * double(n)});
-      for (std::size_t i = 0; i < n; ++i) {
-        const double inv_m = 1.0 / p.mass[i];
-        p.vx[i] += 0.5 * dt * p.fx[i] * inv_m;
-        p.vy[i] += 0.5 * dt * p.fy[i] * inv_m;
-        p.vz[i] += 0.5 * dt * p.fz[i] * inv_m;
-      }
+      rep.half_kick(ctx);
     }
 
     log_compute();  // tail: the final half-kick after the last reduction
@@ -115,10 +69,10 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
     result.net.reductions += stats.reductions;
     if (comm.rank() == 0) {
       result.n = n;
-      result.potential = energy;
-      result.virial = virial;
-      result.kinetic = p.kinetic_energy();
-      result.temperature = p.temperature();
+      result.potential = rep.energy();
+      result.virial = rep.virial();
+      result.kinetic = rep.kinetic();
+      result.temperature = rep.temperature();
     }
   });
   if (cfg.log != nullptr && cfg.cluster != nullptr) {

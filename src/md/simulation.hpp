@@ -105,12 +105,7 @@ class Simulation : public resil::Checkpointable {
       prof::Scope kick_span(cfg_.profiler, &integ, "integrate");
       integ.fused(p_.n)
           .then({3.0, 36.0},
-                [&](std::size_t i) {
-                  const double inv_m = 1.0 / p_.mass[i];
-                  p_.vx[i] += 0.5 * dt * p_.fx[i] * inv_m;
-                  p_.vy[i] += 0.5 * dt * p_.fy[i] * inv_m;
-                  p_.vz[i] += 0.5 * dt * p_.fz[i] * inv_m;
-                })
+                [&](std::size_t i) { p_.half_kick(i, dt); })
           .then({0.0, 24.0},
                 [&](std::size_t i) {
                   xprev_[i] = p_.x[i];
@@ -118,11 +113,7 @@ class Simulation : public resil::Checkpointable {
                   zprev_[i] = p_.z[i];
                 })
           .then({6.0, 36.0},
-                [&](std::size_t i) {
-                  p_.x[i] = box_.fold(p_.x[i] + dt * p_.vx[i]);
-                  p_.y[i] = box_.fold(p_.y[i] + dt * p_.vy[i]);
-                  p_.z[i] = box_.fold(p_.z[i] + dt * p_.vz[i]);
-                })
+                [&](std::size_t i) { p_.drift(i, dt, box_); })
           .launch();
     }
 
@@ -141,12 +132,8 @@ class Simulation : public resil::Checkpointable {
     {
       prof::Scope kick_span(cfg_.profiler, &integ, "integrate");
       // Second half kick (same pricing as the record_kernel it replaces).
-      integ.forall(p_.n, {6.0, 96.0}, [&](std::size_t i) {
-        const double inv_m = 1.0 / p_.mass[i];
-        p_.vx[i] += 0.5 * dt * p_.fx[i] * inv_m;
-        p_.vy[i] += 0.5 * dt * p_.fy[i] * inv_m;
-        p_.vz[i] += 0.5 * dt * p_.fz[i] * inv_m;
-      });
+      integ.forall(p_.n, {6.0, 96.0},
+                   [&](std::size_t i) { p_.half_kick(i, dt); });
     }
 
     if (cfg_.thermostat != Thermostat::None ||

@@ -1,159 +1,16 @@
 #include "md/survivable.hpp"
 
-#include <algorithm>
 #include <mutex>
-#include <span>
-#include <vector>
 
 #include "core/exec.hpp"
-#include "core/rng.hpp"
-#include "md/forces.hpp"
-#include "md/potentials.hpp"
+#include "md/replica.hpp"
 
 namespace coe::md {
 
 namespace {
 
-/// One replica part: the full system plus this part's row slice of the
-/// pair-force work and its share of the aggregated reduction buffer.
-class MdPart final : public resil::Checkpointable {
- public:
-  MdPart(const SurvivableMdConfig& cfg, int part)
-      : cfg_(cfg),
-        part_(part),
-        pot_(1.0, 1.0, cfg.rcut),
-        nl_(cfg.rcut, cfg.skin) {
-    core::Rng rng(cfg.seed);  // same seed: identical replicas everywhere
-    init_lattice(p_, box_, cfg.per_side, cfg.density, cfg.temperature, rng);
-    p_.zero_momentum();
-    nl_built_ = false;
-    agg_.assign(3 * p_.n + 2, 0.0);
-  }
-
-  void save_state(std::vector<double>& out) const override {
-    const std::size_t n = p_.n;
-    out.clear();
-    out.reserve(9 * n + 2);
-    auto put = [&out](const std::vector<double>& v) {
-      out.insert(out.end(), v.begin(), v.end());
-    };
-    put(p_.x);
-    put(p_.y);
-    put(p_.z);
-    put(p_.vx);
-    put(p_.vy);
-    put(p_.vz);
-    put(p_.fx);
-    put(p_.fy);
-    put(p_.fz);
-    out.push_back(energy_);
-    out.push_back(virial_);
-    // The neighbor list's pairs and reference positions: preserving the
-    // pair ordering and the rebuild schedule keeps the replay bitwise.
-    nl_.save_state(out);
-  }
-
-  void restore_state(const std::vector<double>& in) override {
-    const std::size_t n = p_.n;
-    const double* at = in.data();
-    auto get = [&at, n](std::vector<double>& v) {
-      std::copy(at, at + n, v.begin());
-      at += n;
-    };
-    get(p_.x);
-    get(p_.y);
-    get(p_.z);
-    get(p_.vx);
-    get(p_.vy);
-    get(p_.vz);
-    get(p_.fx);
-    get(p_.fy);
-    get(p_.fz);
-    energy_ = *at++;
-    virial_ = *at++;
-    at = nl_.load_state(at);
-    nl_built_ = true;
-  }
-
-  std::size_t n() const { return p_.n; }
-  std::span<double> agg() { return agg_; }
-
-  /// Row-slice partial forces into agg_ (the part-tree sums across parts).
-  void partial_forces(core::ExecContext& ctx) {
-    if (!nl_built_ || nl_.needs_rebuild(p_, box_)) {
-      nl_.build(ctx, p_, box_);
-      nl_built_ = true;
-    }
-    const std::size_t n = p_.n;
-    const auto np = static_cast<std::size_t>(cfg_.workers);
-    const auto r = static_cast<std::size_t>(part_);
-    const std::size_t lo = n * r / np;
-    const std::size_t hi = n * (r + 1) / np;
-    p_.zero_forces();
-    const PairResult pr = compute_pair_forces(ctx, p_, box_, nl_, pot_, lo, hi);
-    std::copy(p_.fx.begin(), p_.fx.end(), agg_.begin());
-    std::copy(p_.fy.begin(), p_.fy.end(), agg_.begin() + n);
-    std::copy(p_.fz.begin(), p_.fz.end(), agg_.begin() + 2 * n);
-    agg_[3 * n] = pr.energy;
-    agg_[3 * n + 1] = pr.virial;
-  }
-
-  /// Installs the summed reduction result as this replica's forces.
-  void adopt_forces() {
-    const std::size_t n = p_.n;
-    std::copy(agg_.begin(), agg_.begin() + n, p_.fx.begin());
-    std::copy(agg_.begin() + n, agg_.begin() + 2 * n, p_.fy.begin());
-    std::copy(agg_.begin() + 2 * n, agg_.begin() + 3 * n, p_.fz.begin());
-    energy_ = agg_[3 * n];
-    virial_ = agg_[3 * n + 1];
-  }
-
-  void half_kick_and_drift(core::ExecContext& ctx) {
-    const std::size_t n = p_.n;
-    const double dt = cfg_.dt;
-    ctx.record_kernel({9.0 * double(n), 96.0 * double(n)});
-    for (std::size_t i = 0; i < n; ++i) {
-      const double inv_m = 1.0 / p_.mass[i];
-      p_.vx[i] += 0.5 * dt * p_.fx[i] * inv_m;
-      p_.vy[i] += 0.5 * dt * p_.fy[i] * inv_m;
-      p_.vz[i] += 0.5 * dt * p_.fz[i] * inv_m;
-      p_.x[i] = box_.fold(p_.x[i] + dt * p_.vx[i]);
-      p_.y[i] = box_.fold(p_.y[i] + dt * p_.vy[i]);
-      p_.z[i] = box_.fold(p_.z[i] + dt * p_.vz[i]);
-    }
-  }
-
-  void half_kick(core::ExecContext& ctx) {
-    const std::size_t n = p_.n;
-    const double dt = cfg_.dt;
-    ctx.record_kernel({6.0 * double(n), 96.0 * double(n)});
-    for (std::size_t i = 0; i < n; ++i) {
-      const double inv_m = 1.0 / p_.mass[i];
-      p_.vx[i] += 0.5 * dt * p_.fx[i] * inv_m;
-      p_.vy[i] += 0.5 * dt * p_.fy[i] * inv_m;
-      p_.vz[i] += 0.5 * dt * p_.fz[i] * inv_m;
-    }
-  }
-
-  double energy() const { return energy_; }
-  double virial() const { return virial_; }
-  double kinetic() const { return p_.kinetic_energy(); }
-  double temp() const { return p_.temperature(); }
-
- private:
-  const SurvivableMdConfig& cfg_;
-  int part_;
-  Particles p_;
-  Box box_;
-  LennardJones pot_;
-  NeighborList nl_;
-  bool nl_built_ = false;
-  double energy_ = 0.0, virial_ = 0.0;
-  std::vector<double> agg_;
-};
-
-MdPart& replica(phoenix::RankContext& rc, int p) {
-  return static_cast<MdPart&>(rc.part(p));
+MdReplica& replica(phoenix::RankContext& rc, int p) {
+  return static_cast<MdReplica&>(rc.part(p));
 }
 
 }  // namespace
@@ -162,27 +19,23 @@ SurvivableMdResult survivable_md_run(const SurvivableMdConfig& cfg) {
   SurvivableMdResult result;
   std::mutex mtx;
 
-  phoenix::SurvivableConfig pc;
-  pc.workers = cfg.workers;
-  pc.spares = cfg.spares;
-  pc.policy = cfg.policy;
-  pc.steps = cfg.steps + 1;  // step 0 computes the initial forces
-  pc.ckpt_every = cfg.ckpt_every;
-  pc.mpi = cfg.mpi;
-  pc.node = cfg.node;
-  pc.log = cfg.log;
-  pc.metrics = cfg.metrics;
-  pc.trace_ranks = cfg.trace_ranks;
-  pc.fault_hook = cfg.fault_hook;
+  // Step 0 computes the initial forces.
+  const phoenix::SurvivableConfig pc =
+      phoenix::survivable_config(cfg, cfg.steps + 1);
 
   phoenix::SurvivableHooks hooks;
-  hooks.make = [&cfg](phoenix::RankContext&, int part) {
-    return std::make_unique<MdPart>(cfg, part);
+  hooks.make = [&cfg](phoenix::RankContext&, int) {
+    return std::make_unique<MdReplica>(cfg);
   };
   // One force evaluation: partial row-slice forces on every owned part,
   // one (3n+2)-wide part-tree reduction, result adopted by every replica.
-  auto forces = [](phoenix::RankContext& rc) {
-    for (int p : rc.owned()) replica(rc, p).partial_forces(rc.ctx());
+  auto forces = [&cfg](phoenix::RankContext& rc) {
+    const auto np = static_cast<std::size_t>(cfg.workers);
+    for (int p : rc.owned()) {
+      MdReplica& m = replica(rc, p);
+      const auto r = static_cast<std::size_t>(p);
+      m.partial_forces(rc.ctx(), m.n() * r / np, m.n() * (r + 1) / np);
+    }
     rc.log_compute();
     rc.part_allreduce(phoenix::RankContext::kChanApp, [&rc](int p) {
       return replica(rc, p).agg();
@@ -204,13 +57,13 @@ SurvivableMdResult survivable_md_run(const SurvivableMdConfig& cfg) {
   hooks.finish = [&result, &mtx](phoenix::RankContext& rc) {
     for (int p : rc.owned()) {
       if (p != 0) continue;
-      MdPart& m = replica(rc, p);
+      MdReplica& m = replica(rc, p);
       std::lock_guard<std::mutex> lk(mtx);
       result.n = m.n();
       result.potential = m.energy();
       result.virial = m.virial();
       result.kinetic = m.kinetic();
-      result.temperature = m.temp();
+      result.temperature = m.temperature();
     }
   };
 

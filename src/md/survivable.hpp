@@ -1,15 +1,12 @@
 #pragma once
-// Survivable replicated-data MD (DESIGN.md §17): replicated.cpp's
-// velocity-Verlet LJ loop re-hosted on phoenix::run_survivable. Every
+// Survivable replicated-data MD (DESIGN.md §17): a phoenix::run_survivable
+// run loop over the same MdReplica that replicated_md_run drives. Every
 // logical part holds a full replica and computes the pair forces over its
 // neighbor-list row slice; the partial [fx | fy | fz | energy | virial]
 // arrays are summed by the driver's fixed binary part-tree (real p2p
 // messages, association independent of the part->rank mapping), so a run
 // that rides through a rank kill replays to a bitwise-identical trajectory.
-// The checkpoint blob carries positions, velocities, forces, AND the
-// neighbor list (pairs + build-reference positions): the conditional
-// rebuild schedule is part of the trajectory, so the list must roll back
-// with the state it was built from.
+// The checkpoint blob is the replica's, neighbor list included.
 
 #include <cstddef>
 #include <cstdint>

@@ -63,7 +63,10 @@ class World {
   /// operation. Each rank only touches its own ops_ slot. Recovery-protocol
   /// operations (agree/repair/await) use enter_recovery_op instead: the
   /// fault hook still fires (kills can land mid-recovery) but a pending
-  /// failure does not bounce them — they ARE the failure handling.
+  /// failure does not bounce them — they ARE the failure handling. recv
+  /// uses it too: its wait raises a pending failure only when the message
+  /// is not already queued, so a deliverable receive completes ("pred
+  /// wins") however late its rank reaches it.
   void enter_op(int rank) {
     {
       std::lock_guard<std::mutex> lk(mtx_);
@@ -122,7 +125,7 @@ class World {
   }
 
   std::vector<double> recv(int src, int dest, int tag) {
-    enter_op(dest);
+    enter_recovery_op(dest);
     std::unique_lock<std::mutex> lk(mtx_);
     auto& q = mail_[key(epoch_, src, dest, tag)];
     wait_or_fail(lk, [&] { return !q.empty(); },
@@ -584,8 +587,8 @@ double Communicator::allreduce_sum(double v) {
 }
 
 double Communicator::allreduce_max(double v) {
-  // Native single-pass max on the shared reduce buffer: one collective
-  // instead of the legacy two-phase gather's 2*(P-1) messages.
+  // Native single-pass max on the shared reduce buffer: one collective,
+  // no messages.
   double buf = v;
   world_->allreduce(rank_, std::span<double>(&buf, 1), World::ReduceOp::Max);
   return buf;
@@ -593,25 +596,6 @@ double Communicator::allreduce_max(double v) {
 
 void Communicator::allreduce_max(std::span<double> inout) {
   world_->allreduce(rank_, inout, World::ReduceOp::Max);
-}
-
-double Communicator::allreduce_max_legacy(double v) {
-  // The pre-net path, kept only so tests can assert value-identity with
-  // the native reduction: gather every value to rank 0, broadcast back.
-  if (world_->size() == 1) return v;
-  if (rank_ == 0) {
-    double best = v;
-    for (int r = 1; r < world_->size(); ++r) {
-      auto msg = world_->recv(r, 0, /*tag=*/0x7f);
-      best = std::max(best, msg[0]);
-    }
-    for (int r = 1; r < world_->size(); ++r) {
-      world_->send(0, r, 0x7e, {best});
-    }
-    return best;
-  }
-  world_->send(rank_, 0, 0x7f, {v});
-  return world_->recv(0, rank_, 0x7e)[0];
 }
 
 void Communicator::barrier() { world_->barrier(rank_); }

@@ -233,10 +233,6 @@ class Communicator {
   /// plumbing (one collective, no messages).
   double allreduce_max(double v);
   void allreduce_max(std::span<double> inout);
-  /// The pre-net allreduce_max: a two-phase gather/broadcast through rank
-  /// 0 costing one message per non-root rank each way. Kept test-only so
-  /// the suite can assert the native path is value-identical.
-  double allreduce_max_legacy(double v);
 
   void barrier();
 

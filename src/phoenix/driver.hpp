@@ -112,6 +112,25 @@ struct SurvivableConfig {
   std::function<bool(int, std::size_t)> fault_hook;
 };
 
+/// The SurvivableConfig of an app config that carries the driver settings
+/// under the same names; `steps` counts driver steps (step 0 may be init).
+template <typename AppCfg>
+SurvivableConfig survivable_config(const AppCfg& app, int steps) {
+  SurvivableConfig pc;
+  pc.workers = app.workers;
+  pc.spares = app.spares;
+  pc.policy = app.policy;
+  pc.steps = steps;
+  pc.ckpt_every = app.ckpt_every;
+  pc.mpi = app.mpi;
+  pc.node = app.node;
+  pc.log = app.log;
+  pc.metrics = app.metrics;
+  pc.trace_ranks = app.trace_ranks;
+  pc.fault_hook = app.fault_hook;
+  return pc;
+}
+
 class RankContext;
 
 /// Application plug-in. `make` builds one part's app (called for initial

@@ -2,42 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <mutex>
 
 #include "core/exec.hpp"
+#include "stencil/slab.hpp"
 
 namespace coe::stencil {
-
-namespace {
-
-constexpr double kC0 = -30.0 / 12.0;
-constexpr double kC1 = 16.0 / 12.0;
-constexpr double kC2 = -1.0 / 12.0;
-
-// Per-point cost of the fused Laplacian + leapfrog update, matching the
-// serial WaveSolver pricing (5-point MACs per axis + time update; 13
-// stencil loads, u_prev load, u_next store).
-constexpr double kFlopsPerPoint = 38.0;
-constexpr double kBytesPerPoint = 120.0;
-
-}  // namespace
 
 DistributedWaveResult distributed_wave_run(
     int ranks, const DistributedWaveConfig& cfg,
     const std::function<double(double, double, double)>& u0) {
   assert(cfg.nx % static_cast<std::size_t>(ranks) == 0);
-  const std::size_t lnx = cfg.nx / static_cast<std::size_t>(ranks);
-  const std::size_t my = cfg.ny + 4, mz = cfg.nz + 4;
-  const std::size_t plane = my * mz;
-  const double h = cfg.length / static_cast<double>(cfg.nx + 1);
-  const double dt =
-      cfg.dt_factor * 0.5 * h / (cfg.c * std::sqrt(3.0) * 1.16);
-  const double cdt2 = cfg.c * cfg.c * dt * dt;
-  const double ih2 = 1.0 / (h * h);
-
   DistributedWaveResult result;
-  result.dt = dt;
   result.field.assign(cfg.nx * cfg.ny * cfg.nz, 0.0);
 
   net::NetLog local_log;
@@ -53,14 +29,9 @@ DistributedWaveResult distributed_wave_run(
     // arithmetic, so the field cannot change.
     const double skew =
         comm.rank() == cfg.skew_rank ? cfg.skew_factor : 1.0;
-    const bool first = comm.rank() == 0;
-    const bool last = comm.rank() + 1 == ranks;
-    const std::size_t mx = lnx + 4;
-    std::vector<double> u(mx * plane, 0.0), up(mx * plane, 0.0),
-        un(mx * plane, 0.0);
-    auto idx = [&](std::size_t a, std::size_t j, std::size_t k) {
-      return (a * my + j) * mz + k;
-    };
+    WaveSlab slab(cfg, comm.rank(), ranks, u0);
+    const std::size_t lnx = slab.lnx(), plane = slab.plane();
+    if (slab.first()) result.dt = slab.dt();
 
     core::ExecContext ctx(core::Backend::Seq, cfg.node);
     if (cfg.trace_ranks) {
@@ -85,14 +56,14 @@ DistributedWaveResult distributed_wave_run(
     halo.set_logger(logger);
     const int left = comm.rank() - 1, right = comm.rank() + 1;
     if (cfg.aggregate_halos) {
-      if (!first) {
+      if (!slab.first()) {
         const int nb = halo.add_neighbor(left, /*send=*/30, /*recv=*/31);
         halo.add_send(nb, 2 * plane, plane);
         halo.add_send(nb, 3 * plane, plane);
         halo.add_recv(nb, 0, plane);
         halo.add_recv(nb, plane, plane);
       }
-      if (!last) {
+      if (!slab.last()) {
         const int nb = halo.add_neighbor(right, /*send=*/31, /*recv=*/30);
         halo.add_send(nb, lnx * plane, plane);
         halo.add_send(nb, (lnx + 1) * plane, plane);
@@ -100,7 +71,7 @@ DistributedWaveResult distributed_wave_run(
         halo.add_recv(nb, (lnx + 3) * plane, plane);
       }
     } else {
-      if (!first) {
+      if (!slab.first()) {
         int nb = halo.add_neighbor(left, 20, 22);
         halo.add_send(nb, 2 * plane, plane);
         halo.add_recv(nb, 0, plane);
@@ -108,7 +79,7 @@ DistributedWaveResult distributed_wave_run(
         halo.add_send(nb, 3 * plane, plane);
         halo.add_recv(nb, plane, plane);
       }
-      if (!last) {
+      if (!slab.last()) {
         int nb = halo.add_neighbor(right, 22, 20);
         halo.add_send(nb, lnx * plane, plane);
         halo.add_recv(nb, (lnx + 2) * plane, plane);
@@ -118,129 +89,41 @@ DistributedWaveResult distributed_wave_run(
       }
     }
 
-    // Initial condition on the interior.
-    for (std::size_t a = 2; a < lnx + 2; ++a) {
-      const std::size_t gi = r * lnx + (a - 2);
-      const double x = h * static_cast<double>(gi + 1);
-      for (std::size_t j = 0; j < cfg.ny; ++j) {
-        for (std::size_t k = 0; k < cfg.nz; ++k) {
-          u[idx(a, j + 2, k + 2)] =
-              u0(x, h * double(j + 1), h * double(k + 1));
-        }
-      }
-    }
-
-    auto fill_yz_walls = [&] {
-      for (std::size_t a = 0; a < mx; ++a) {
-        for (std::size_t k = 0; k < mz; ++k) {
-          u[idx(a, 1, k)] = 0.0;
-          u[idx(a, 0, k)] = -u[idx(a, 2, k)];
-          u[idx(a, my - 2, k)] = 0.0;
-          u[idx(a, my - 1, k)] = -u[idx(a, my - 3, k)];
-        }
-        for (std::size_t j = 0; j < my; ++j) {
-          u[idx(a, j, 1)] = 0.0;
-          u[idx(a, j, 0)] = -u[idx(a, j, 2)];
-          u[idx(a, j, mz - 2)] = 0.0;
-          u[idx(a, j, mz - 1)] = -u[idx(a, j, mz - 3)];
-        }
-      }
-    };
-
-    // Global x walls: odd reflection (matches the serial solver).
-    auto fill_x_walls = [&] {
-      if (first) {
-        for (std::size_t p = 0; p < plane; ++p) {
-          u[1 * plane + p] = 0.0;
-          u[0 * plane + p] = -u[2 * plane + p];
-        }
-      }
-      if (last) {
-        for (std::size_t p = 0; p < plane; ++p) {
-          u[(lnx + 2) * plane + p] = 0.0;
-          u[(lnx + 3) * plane + p] = -u[(lnx + 1) * plane + p];
-        }
-      }
-    };
-
-    auto lap_at = [&](std::size_t id) {
-      const std::size_t si = plane, sj = mz;
-      const double lx = kC2 * (u[id - 2 * si] + u[id + 2 * si]) +
-                        kC1 * (u[id - si] + u[id + si]) + kC0 * u[id];
-      const double ly = kC2 * (u[id - 2 * sj] + u[id + 2 * sj]) +
-                        kC1 * (u[id - sj] + u[id + sj]) + kC0 * u[id];
-      const double lz = kC2 * (u[id - 2] + u[id + 2]) +
-                        kC1 * (u[id - 1] + u[id + 1]) + kC0 * u[id];
-      return (lx + ly + lz) * ih2;
-    };
-
-    // Runs `upd` over x-planes [a0, a1) and charges the node model. Every
-    // point performs the same arithmetic regardless of which sweep it lands
-    // in, so splitting interior from boundary cannot change a single bit.
-    auto sweep = [&](std::size_t a0, std::size_t a1, auto&& upd) {
-      if (a0 >= a1) return;
-      for (std::size_t a = a0; a < a1; ++a) {
-        for (std::size_t j = 2; j < cfg.ny + 2; ++j) {
-          for (std::size_t k = 2; k < cfg.nz + 2; ++k) {
-            upd(idx(a, j, k));
-          }
-        }
-      }
-      const auto n =
-          static_cast<double>((a1 - a0) * cfg.ny * cfg.nz);
-      ctx.record_kernel({kFlopsPerPoint * n * skew, kBytesPerPoint * n * skew});
-    };
-
     // One exchange + update phase. Interior planes [4, lnx) read only
     // locally-owned data (their a +/- 2 neighbors are non-ghost), so with
     // overlap enabled they run between begin() and finish(); the four
     // ghost-adjacent boundary planes run after the halos land.
     const std::size_t int_lo = 4;
     const std::size_t int_hi = std::max<std::size_t>(4, lnx);
-    auto comm_step = [&](auto&& upd) {
-      fill_yz_walls();
+    auto comm_step = [&](WaveSlab::Update upd) {
+      slab.fill_yz_walls();
       log_compute();
       if (cfg.trace_ranks) ctx.set_phase("halo");
-      halo.begin(comm, u);
+      halo.begin(comm, slab.u());
       if (cfg.trace_ranks) ctx.set_phase("stencil");
-      if (cfg.overlap) sweep(int_lo, int_hi, upd);
+      if (cfg.overlap) slab.sweep(ctx, int_lo, int_hi, upd, skew);
       log_compute();
       if (cfg.trace_ranks) ctx.set_phase("halo");
-      halo.finish(comm, u);
+      halo.finish(comm, slab.u());
       if (cfg.trace_ranks) ctx.set_phase("stencil");
-      fill_x_walls();
+      slab.fill_x_walls();
       if (cfg.overlap) {
-        sweep(2, std::min<std::size_t>(4, lnx + 2), upd);
-        sweep(int_hi, lnx + 2, upd);
+        slab.sweep(ctx, 2, std::min<std::size_t>(4, lnx + 2), upd, skew);
+        slab.sweep(ctx, int_hi, lnx + 2, upd, skew);
       } else {
-        sweep(2, lnx + 2, upd);
+        slab.sweep(ctx, 2, lnx + 2, upd, skew);
       }
       log_compute();
     };
 
-    // Taylor backstep for u_prev (v0 = 0).
-    comm_step([&](std::size_t id) {
-      up[id] = u[id] + 0.5 * cdt2 * lap_at(id);
-    });
-
+    comm_step(WaveSlab::Update::Taylor);
     for (int s = 0; s < cfg.steps; ++s) {
-      comm_step([&](std::size_t id) {
-        un[id] = 2.0 * u[id] - up[id] + cdt2 * lap_at(id);
-      });
-      std::swap(up, u);
-      std::swap(u, un);
+      comm_step(WaveSlab::Update::Leapfrog);
+      slab.rotate();
     }
 
-    // Gather into the shared global field (disjoint slabs: no race).
-    for (std::size_t a = 2; a < lnx + 2; ++a) {
-      const std::size_t gi = r * lnx + (a - 2);
-      for (std::size_t j = 0; j < cfg.ny; ++j) {
-        for (std::size_t k = 0; k < cfg.nz; ++k) {
-          result.field[(gi * cfg.ny + j) * cfg.nz + k] =
-              u[idx(a, j + 2, k + 2)];
-        }
-      }
-    }
+    // Disjoint slabs: no race on the shared global field.
+    slab.gather(result.field);
 
     std::lock_guard<std::mutex> lk(stats_mtx);
     result.halo.exchanges += halo.stats().exchanges;

@@ -1,212 +1,32 @@
 #include "stencil/survivable.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 #include <mutex>
 #include <stdexcept>
 
 #include "core/exec.hpp"
+#include "stencil/slab.hpp"
 
 namespace coe::stencil {
 
 namespace {
 
-// Identical constants and per-point pricing to distributed.cpp: the two
-// drivers must produce the same bits and charge the same modeled work.
-constexpr double kC0 = -30.0 / 12.0;
-constexpr double kC1 = 16.0 / 12.0;
-constexpr double kC2 = -1.0 / 12.0;
-constexpr double kFlopsPerPoint = 38.0;
-constexpr double kBytesPerPoint = 120.0;
-
 constexpr int kChanRight = phoenix::RankContext::kChanApp;     // p -> p+1
 constexpr int kChanLeft = phoenix::RankContext::kChanApp + 1;  // p -> p-1
 
-/// One x-slab: the owning part's (u, u_prev) state plus the step kernels,
-/// arithmetic-identical to the per-rank body of distributed_wave_run.
-class WavePart final : public resil::Checkpointable {
- public:
-  WavePart(const SurvivableWaveConfig& cfg, int part,
-           const std::function<double(double, double, double)>& u0)
-      : cfg_(cfg),
-        part_(part),
-        lnx_(cfg.nx / static_cast<std::size_t>(cfg.workers)),
-        my_(cfg.ny + 4),
-        mz_(cfg.nz + 4),
-        plane_(my_ * mz_),
-        mx_(lnx_ + 4),
-        first_(part == 0),
-        last_(part + 1 == cfg.workers) {
-    const double h = cfg.length / static_cast<double>(cfg.nx + 1);
-    const double dt =
-        cfg.dt_factor * 0.5 * h / (cfg.c * std::sqrt(3.0) * 1.16);
-    cdt2_ = cfg.c * cfg.c * dt * dt;
-    ih2_ = 1.0 / (h * h);
-    u_.assign(mx_ * plane_, 0.0);
-    up_.assign(mx_ * plane_, 0.0);
-    un_.assign(mx_ * plane_, 0.0);
-    for (std::size_t a = 2; a < lnx_ + 2; ++a) {
-      const std::size_t gi =
-          static_cast<std::size_t>(part_) * lnx_ + (a - 2);
-      const double x = h * static_cast<double>(gi + 1);
-      for (std::size_t j = 0; j < cfg.ny; ++j) {
-        for (std::size_t k = 0; k < cfg.nz; ++k) {
-          u_[idx(a, j + 2, k + 2)] =
-              u0(x, h * double(j + 1), h * double(k + 1));
-        }
-      }
-    }
-  }
+WaveSlab& wave(phoenix::RankContext& rc, int p) {
+  return static_cast<WaveSlab&>(rc.part(p));
+}
 
-  void save_state(std::vector<double>& out) const override {
-    out.clear();
-    out.reserve(2 * u_.size());
-    out.insert(out.end(), u_.begin(), u_.end());
-    out.insert(out.end(), up_.begin(), up_.end());
-  }
+/// The two adjacent x-planes starting at plane `a`, as one message.
+std::vector<double> pack(const WaveSlab& w, std::size_t a) {
+  const auto at = w.u().begin() + static_cast<long>(a * w.plane());
+  return {at, at + static_cast<long>(2 * w.plane())};
+}
 
-  void restore_state(const std::vector<double>& in) override {
-    const std::size_t m = u_.size();
-    std::copy(in.begin(), in.begin() + static_cast<long>(m), u_.begin());
-    std::copy(in.begin() + static_cast<long>(m), in.end(), up_.begin());
-    // un_ is scratch: every entry read in a step is written first.
-  }
-
-  bool first() const { return first_; }
-  bool last() const { return last_; }
-
-  void fill_yz_walls() {
-    for (std::size_t a = 0; a < mx_; ++a) {
-      for (std::size_t k = 0; k < mz_; ++k) {
-        u_[idx(a, 1, k)] = 0.0;
-        u_[idx(a, 0, k)] = -u_[idx(a, 2, k)];
-        u_[idx(a, my_ - 2, k)] = 0.0;
-        u_[idx(a, my_ - 1, k)] = -u_[idx(a, my_ - 3, k)];
-      }
-      for (std::size_t j = 0; j < my_; ++j) {
-        u_[idx(a, j, 1)] = 0.0;
-        u_[idx(a, j, 0)] = -u_[idx(a, j, 2)];
-        u_[idx(a, j, mz_ - 2)] = 0.0;
-        u_[idx(a, j, mz_ - 1)] = -u_[idx(a, j, mz_ - 3)];
-      }
-    }
-  }
-
-  void fill_x_walls() {
-    if (first_) {
-      for (std::size_t p = 0; p < plane_; ++p) {
-        u_[1 * plane_ + p] = 0.0;
-        u_[0 * plane_ + p] = -u_[2 * plane_ + p];
-      }
-    }
-    if (last_) {
-      for (std::size_t p = 0; p < plane_; ++p) {
-        u_[(lnx_ + 2) * plane_ + p] = 0.0;
-        u_[(lnx_ + 3) * plane_ + p] = -u_[(lnx_ + 1) * plane_ + p];
-      }
-    }
-  }
-
-  /// Both planes toward the left neighbor (its right ghosts), aggregated.
-  std::vector<double> pack_to_left() const {
-    return pack(2 * plane_, 3 * plane_);
-  }
-  std::vector<double> pack_to_right() const {
-    return pack(lnx_ * plane_, (lnx_ + 1) * plane_);
-  }
-  void unpack_from_left(const std::vector<double>& v) {
-    unpack(v, 0, plane_);
-  }
-  void unpack_from_right(const std::vector<double>& v) {
-    unpack(v, (lnx_ + 2) * plane_, (lnx_ + 3) * plane_);
-  }
-
-  /// Step 0: Taylor backstep for u_prev (v0 = 0). No swap.
-  void taylor(core::ExecContext& ctx) {
-    sweep(ctx, [&](std::size_t id) {
-      up_[id] = u_[id] + 0.5 * cdt2_ * lap_at(id);
-    });
-  }
-
-  /// One leapfrog step, then rotate the buffers.
-  void leapfrog(core::ExecContext& ctx) {
-    sweep(ctx, [&](std::size_t id) {
-      un_[id] = 2.0 * u_[id] - up_[id] + cdt2_ * lap_at(id);
-    });
-    std::swap(up_, u_);
-    std::swap(u_, un_);
-  }
-
-  /// Copies the interior slab into the global x-major field.
-  void gather(std::vector<double>& field) const {
-    for (std::size_t a = 2; a < lnx_ + 2; ++a) {
-      const std::size_t gi =
-          static_cast<std::size_t>(part_) * lnx_ + (a - 2);
-      for (std::size_t j = 0; j < cfg_.ny; ++j) {
-        for (std::size_t k = 0; k < cfg_.nz; ++k) {
-          field[(gi * cfg_.ny + j) * cfg_.nz + k] = u_[idx(a, j + 2, k + 2)];
-        }
-      }
-    }
-  }
-
- private:
-  std::size_t idx(std::size_t a, std::size_t j, std::size_t k) const {
-    return (a * my_ + j) * mz_ + k;
-  }
-
-  double lap_at(std::size_t id) const {
-    const std::size_t si = plane_, sj = mz_;
-    const double lx = kC2 * (u_[id - 2 * si] + u_[id + 2 * si]) +
-                      kC1 * (u_[id - si] + u_[id + si]) + kC0 * u_[id];
-    const double ly = kC2 * (u_[id - 2 * sj] + u_[id + 2 * sj]) +
-                      kC1 * (u_[id - sj] + u_[id + sj]) + kC0 * u_[id];
-    const double lz = kC2 * (u_[id - 2] + u_[id + 2]) +
-                      kC1 * (u_[id - 1] + u_[id + 1]) + kC0 * u_[id];
-    return (lx + ly + lz) * ih2_;
-  }
-
-  template <typename Upd>
-  void sweep(core::ExecContext& ctx, Upd&& upd) {
-    for (std::size_t a = 2; a < lnx_ + 2; ++a) {
-      for (std::size_t j = 2; j < cfg_.ny + 2; ++j) {
-        for (std::size_t k = 2; k < cfg_.nz + 2; ++k) {
-          upd(idx(a, j, k));
-        }
-      }
-    }
-    const auto n = static_cast<double>(lnx_ * cfg_.ny * cfg_.nz);
-    ctx.record_kernel({kFlopsPerPoint * n, kBytesPerPoint * n});
-  }
-
-  std::vector<double> pack(std::size_t p0, std::size_t p1) const {
-    std::vector<double> v;
-    v.reserve(2 * plane_);
-    v.insert(v.end(), u_.begin() + static_cast<long>(p0),
-             u_.begin() + static_cast<long>(p0 + plane_));
-    v.insert(v.end(), u_.begin() + static_cast<long>(p1),
-             u_.begin() + static_cast<long>(p1 + plane_));
-    return v;
-  }
-
-  void unpack(const std::vector<double>& v, std::size_t p0, std::size_t p1) {
-    std::copy(v.begin(), v.begin() + static_cast<long>(plane_),
-              u_.begin() + static_cast<long>(p0));
-    std::copy(v.begin() + static_cast<long>(plane_), v.end(),
-              u_.begin() + static_cast<long>(p1));
-  }
-
-  const SurvivableWaveConfig& cfg_;
-  int part_;
-  std::size_t lnx_, my_, mz_, plane_, mx_;
-  bool first_, last_;
-  double cdt2_ = 0.0, ih2_ = 0.0;
-  std::vector<double> u_, up_, un_;
-};
-
-WavePart& wave(phoenix::RankContext& rc, int p) {
-  return static_cast<WavePart&>(rc.part(p));
+void unpack(WaveSlab& w, std::size_t a, const std::vector<double>& v) {
+  std::copy(v.begin(), v.end(),
+            w.u().begin() + static_cast<long>(a * w.plane()));
 }
 
 }  // namespace
@@ -220,27 +40,16 @@ SurvivableWaveResult survivable_wave_run(
         "survivable_wave_run: nx must divide by workers");
   }
   SurvivableWaveResult result;
-  const double h = cfg.length / static_cast<double>(cfg.nx + 1);
-  result.dt = cfg.dt_factor * 0.5 * h / (cfg.c * std::sqrt(3.0) * 1.16);
   result.field.assign(cfg.nx * cfg.ny * cfg.nz, 0.0);
   std::mutex field_mtx;
 
-  phoenix::SurvivableConfig pc;
-  pc.workers = cfg.workers;
-  pc.spares = cfg.spares;
-  pc.policy = cfg.policy;
-  pc.steps = cfg.steps + 1;  // step 0 is the Taylor backstep
-  pc.ckpt_every = cfg.ckpt_every;
-  pc.mpi = cfg.mpi;
-  pc.node = cfg.node;
-  pc.log = cfg.log;
-  pc.metrics = cfg.metrics;
-  pc.trace_ranks = cfg.trace_ranks;
-  pc.fault_hook = cfg.fault_hook;
+  // Step 0 is the Taylor backstep.
+  const phoenix::SurvivableConfig pc =
+      phoenix::survivable_config(cfg, cfg.steps + 1);
 
   phoenix::SurvivableHooks hooks;
   hooks.make = [&cfg, &u0](phoenix::RankContext&, int part) {
-    return std::make_unique<WavePart>(cfg, part, u0);
+    return std::make_unique<WaveSlab>(cfg, part, cfg.workers, u0);
   };
   hooks.step = [&cfg](phoenix::RankContext& rc, int step) {
     core::ExecContext& ctx = rc.ctx();
@@ -248,34 +57,41 @@ SurvivableWaveResult survivable_wave_run(
     for (int p : rc.owned()) wave(rc, p).fill_yz_walls();
     rc.log_compute();
     if (cfg.trace_ranks) ctx.set_phase("halo");
-    // All sends posted (eager) before any receive blocks: deadlock-free
-    // under any part->rank mapping, including a shrunken world where one
-    // rank owns both ends of an exchange (those short-circuit locally).
+    // Both ghost-deep planes per direction travel as one aggregated
+    // message. All sends are posted (eager) before any receive blocks:
+    // deadlock-free under any part->rank mapping, including a shrunken
+    // world where one rank owns both ends of an exchange (those
+    // short-circuit locally).
     for (int p : rc.owned()) {
-      WavePart& w = wave(rc, p);
-      if (!w.first()) rc.part_send(p, p - 1, kChanLeft, w.pack_to_left());
-      if (!w.last()) rc.part_send(p, p + 1, kChanRight, w.pack_to_right());
+      const WaveSlab& w = wave(rc, p);
+      if (!w.first()) rc.part_send(p, p - 1, kChanLeft, pack(w, 2));
+      if (!w.last()) rc.part_send(p, p + 1, kChanRight, pack(w, w.lnx()));
     }
     for (int p : rc.owned()) {
-      WavePart& w = wave(rc, p);
-      if (!w.first()) w.unpack_from_left(rc.part_recv(p - 1, p, kChanRight));
-      if (!w.last()) w.unpack_from_right(rc.part_recv(p + 1, p, kChanLeft));
+      WaveSlab& w = wave(rc, p);
+      if (!w.first()) unpack(w, 0, rc.part_recv(p - 1, p, kChanRight));
+      if (!w.last()) {
+        unpack(w, w.lnx() + 2, rc.part_recv(p + 1, p, kChanLeft));
+      }
     }
     if (cfg.trace_ranks) ctx.set_phase("stencil");
     for (int p : rc.owned()) {
-      WavePart& w = wave(rc, p);
+      WaveSlab& w = wave(rc, p);
       w.fill_x_walls();
-      if (step == 0) {
-        w.taylor(ctx);
-      } else {
-        w.leapfrog(ctx);
-      }
+      // Step 0 is the Taylor backstep; the leapfrog steps follow.
+      w.sweep(ctx, 2, w.lnx() + 2,
+              step == 0 ? WaveSlab::Update::Taylor
+                        : WaveSlab::Update::Leapfrog);
+      if (step != 0) w.rotate();
     }
     rc.log_compute();
   };
   hooks.finish = [&result, &field_mtx](phoenix::RankContext& rc) {
     std::lock_guard<std::mutex> lk(field_mtx);
-    for (int p : rc.owned()) wave(rc, p).gather(result.field);
+    for (int p : rc.owned()) {
+      wave(rc, p).gather(result.field);
+      result.dt = wave(rc, p).dt();
+    }
   };
 
   result.report = phoenix::run_survivable(pc, hooks);

@@ -1,14 +1,12 @@
 #pragma once
-// Survivable distributed wave (DESIGN.md §17): the distributed.cpp
-// 4th-order kernel re-hosted on phoenix::run_survivable. Each logical part
-// owns one x-slab; slabs exchange the two ghost-deep halo planes per
-// direction as one aggregated part-addressed message per neighbor per step
-// and carry (u, u_prev) as their checkpoint blob. Every point performs
-// arithmetic identical to distributed_wave_run — the same Taylor backstep,
-// leapfrog update, and odd-reflection walls in the same order — so the
-// fault-free survivable field matches the distributed one bitwise, and a
-// run that rides through a rank kill (restore + replay) matches its own
-// fault-free reference bitwise: the acceptance gate of ISSUE 10.
+// Survivable distributed wave (DESIGN.md §17): a phoenix::run_survivable
+// run loop over the same WaveSlab kernel that distributed_wave_run drives.
+// Each logical part owns one x-slab; slabs exchange the two ghost-deep
+// halo planes per direction as one aggregated part-addressed message per
+// neighbor per step and carry (u, u_prev) as their checkpoint blob. With
+// no kills the field therefore equals distributed_wave_run's bitwise, and
+// a run that rides through a rank kill (restore + replay) matches its own
+// fault-free reference bitwise.
 
 #include <cstddef>
 #include <functional>

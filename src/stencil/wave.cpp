@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "prof/span.hpp"
+#include "stencil/slab.hpp"
 
 namespace coe::stencil {
 
@@ -69,7 +70,6 @@ void WaveSolver::set_initial(
   }
   // Second-order Taylor backstep: u(-dt) ~= u0 - dt v0 + dt^2/2 c^2 lap u0.
   fill_ghosts();
-  const double c0 = -30.0 / 12.0, c1 = 16.0 / 12.0, c2 = -1.0 / 12.0;
   const double ih2 = 1.0 / (h_ * h_);
   const std::size_t sj = nz_ + 4;
   const std::size_t si = (ny_ + 4) * (nz_ + 4);
@@ -78,12 +78,12 @@ void WaveSolver::set_initial(
       for (std::size_t k = 0; k < nz_; ++k) {
         const std::size_t id = idx(i + 2, j + 2, k + 2);
         const double lap =
-            (c2 * (u_[id - 2 * si] + u_[id + 2 * si]) +
-             c1 * (u_[id - si] + u_[id + si]) +
-             c2 * (u_[id - 2 * sj] + u_[id + 2 * sj]) +
-             c1 * (u_[id - sj] + u_[id + sj]) +
-             c2 * (u_[id - 2] + u_[id + 2]) +
-             c1 * (u_[id - 1] + u_[id + 1]) + 3.0 * c0 * u_[id]) *
+            (kC2 * (u_[id - 2 * si] + u_[id + 2 * si]) +
+             kC1 * (u_[id - si] + u_[id + si]) +
+             kC2 * (u_[id - 2 * sj] + u_[id + 2 * sj]) +
+             kC1 * (u_[id - sj] + u_[id + sj]) +
+             kC2 * (u_[id - 2] + u_[id + 2]) +
+             kC1 * (u_[id - 1] + u_[id + 1]) + 3.0 * kC0 * u_[id]) *
             ih2;
         u_prev_[id] += 0.5 * dt * dt * c_ * c_ * lap;
       }
@@ -139,7 +139,6 @@ void WaveSolver::fill_ghosts() {
 }
 
 void WaveSolver::apply_laplacian_and_update(double dt) {
-  const double c0 = -30.0 / 12.0, c1 = 16.0 / 12.0, c2 = -1.0 / 12.0;
   const double ih2 = 1.0 / (h_ * h_);
   const double cdt2_const = c_ * c_ * dt * dt;
   const double dt2 = dt * dt;
@@ -150,15 +149,8 @@ void WaveSolver::apply_laplacian_and_update(double dt) {
   // The RAJA path runs the same numerics at a modeled ~30% overhead.
   const double abstraction = opts_.raja_abstraction ? 1.3 : 1.0;
 
-  auto lap_at = [&](std::size_t id) {
-    const double lx = c2 * (u_[id - 2 * si] + u_[id + 2 * si]) +
-                      c1 * (u_[id - si] + u_[id + si]) + c0 * u_[id];
-    const double ly = c2 * (u_[id - 2 * sj] + u_[id + 2 * sj]) +
-                      c1 * (u_[id - sj] + u_[id + sj]) + c0 * u_[id];
-    const double lz = c2 * (u_[id - 2] + u_[id + 2]) +
-                      c1 * (u_[id - 1] + u_[id + 1]) + c0 * u_[id];
-    return (lx + ly + lz) * ih2;
-  };
+  const double* u = u_.data();
+  auto lap_at = [&](std::size_t id) { return laplacian4(u, id, si, sj, ih2); };
 
   auto cdt2_at = [&](std::size_t id) {
     return hetero ? c2_field_[id] * dt2 : cdt2_const;

@@ -321,8 +321,8 @@ TEST(ThreadPool, RepeatedDispatch) {
 TEST(ThreadPool, GuidedChunksCoverRangeOnce) {
   // The guided scheduler splits the range into ~4x chunks claimed by an
   // atomic counter; whatever the interleaving, each index runs exactly
-  // once. The plain lambda takes the template fast path (no std::function
-  // allocation); the wrapped call takes the erased one -- same contract.
+  // once. The plain lambda and the std::function-wrapped one bind the same
+  // templated entry point -- same contract.
   core::ThreadPool pool(4);
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{1000},

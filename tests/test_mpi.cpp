@@ -76,25 +76,14 @@ TEST(Mpi, AllreduceMax) {
   mpi::run(6, [&](mpi::Communicator& comm) {
     const double m = comm.allreduce_max(double(comm.rank() * comm.rank()));
     EXPECT_DOUBLE_EQ(m, 25.0);
-  });
-}
-
-TEST(Mpi, AllreduceMaxNativeMatchesLegacy) {
-  // The native single-pass max must be value-identical to the retired
-  // gather/broadcast-through-rank-0 path, and cost zero messages where the
-  // legacy path paid 2*(P-1).
-  const int ranks = 5;
-  auto stats = mpi::run(ranks, [&](mpi::Communicator& comm) {
+    // The vector overload reduces each element exactly as the scalar one.
     const double mine = std::sin(double(comm.rank() + 1)) * 1e3;
-    const double native = comm.allreduce_max(mine);
-    const double legacy = comm.allreduce_max_legacy(mine);
-    EXPECT_EQ(native, legacy);  // bitwise
+    const double scalar = comm.allreduce_max(mine);
     std::vector<double> v{mine, -mine};
     comm.allreduce_max(v);
-    EXPECT_EQ(v[0], native);
+    EXPECT_EQ(v[0], scalar);  // bitwise
+    EXPECT_EQ(v[1], comm.allreduce_max(-mine));
   });
-  // All messages came from the legacy path's two phases.
-  EXPECT_EQ(stats.messages, 2u * (ranks - 1));
 }
 
 TEST(Mpi, BarrierSynchronizes) {

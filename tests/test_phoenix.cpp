@@ -11,10 +11,12 @@
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "la/la.hpp"
+#include "md/replicated.hpp"
 #include "md/survivable.hpp"
 #include "net/net.hpp"
 #include "obs/metrics.hpp"
@@ -233,6 +235,50 @@ TEST(PhoenixMpi, WaitallContainmentAndRepairKillsDoubleDelivery) {
   EXPECT_EQ(purged[0].bytes, 8.0);
 }
 
+TEST(PhoenixMpi, DeliverableRecvCompletesAfterPeerDeath) {
+  // "Pred wins" holds at operation entry too: a receive whose message was
+  // queued before a peer died completes even when its rank reaches it only
+  // after the death is known; the failure surfaces at the next operation
+  // that cannot complete.
+  mpi::RunOptions opts;
+  opts.recoverable = true;
+  opts.timeout_seconds = 5.0;
+  opts.max_retries = 1;
+  opts.fault_hook = phoenix::kill_rank_at(2, 2);
+
+  std::vector<double> got;
+  mpi::run(3, opts, [&](mpi::Communicator& comm) {
+    const int r = comm.rank();
+    if (r == 2) {
+      comm.recv(0, 9);          // go-signal: rank 0 has sent tag 4
+      comm.send(0, 88, {0.0});  // killed on entry
+      return;
+    }
+    if (r == 0) {
+      comm.send(1, 4, {4.0});
+      comm.send(2, 9, {0.0});
+      EXPECT_THROW(comm.recv(1, 77), mpi::RankFailed);
+    } else {
+      while (comm.failed_ranks().empty()) std::this_thread::yield();
+      got = comm.recv(0, 4);
+      EXPECT_THROW(comm.recv(2, 99), mpi::RankFailed);
+    }
+    const int before = comm.epoch();
+    comm.revoke();
+    std::vector<int> dead;
+    comm.agree_min(0, &dead);
+    EXPECT_EQ(dead, (std::vector<int>{2}));
+    if (r == 0) {
+      mpi::RepairPlan plan;
+      plan.retire = dead;
+      comm.repair(plan);
+    } else {
+      comm.await_repair(before);
+    }
+  });
+  EXPECT_EQ(got, (std::vector<double>{4.0}));
+}
+
 // ---------------------------------------------------------------------------
 // Satellite (c), part 1: kill a rank at every phase of recursive-doubling
 // allreduce. Survivors must always reach agreement (or the recoverable
@@ -350,6 +396,31 @@ TEST(PhoenixWave, FaultFreeSurvivableMatchesDistributedBitwise) {
   EXPECT_EQ(sur.field, dist.field);
   EXPECT_EQ(sur.report.stats.kills, 0u);
   EXPECT_GT(sur.report.stats.ckpt_commits, 0u);
+}
+
+TEST(PhoenixMd, FaultFreeSurvivableMatchesReplicatedBitwise) {
+  // Both drivers step the same MdReplica; on power-of-two counts the part
+  // tree and recursive doubling associate every sum the same way.
+  for (const int workers : {1, 2, 4}) {
+    md::SurvivableMdConfig sc;
+    sc.per_side = 5;
+    sc.steps = 20;
+    sc.workers = workers;
+    sc.mpi.timeout_seconds = 5.0;
+    auto sur = md::survivable_md_run(sc);
+
+    md::ReplicatedConfig rc;
+    rc.per_side = sc.per_side;
+    rc.steps = sc.steps;
+    auto rep = md::replicated_md_run(workers, rc);
+
+    SCOPED_TRACE(workers);
+    EXPECT_EQ(sur.report.stats.kills, 0u);
+    EXPECT_EQ(sur.n, rep.n);
+    EXPECT_EQ(sur.potential, rep.potential);
+    EXPECT_EQ(sur.kinetic, rep.kinetic);
+    EXPECT_EQ(sur.virial, rep.virial);
+  }
 }
 
 TEST(PhoenixWave, SpareSubstitutionRecoversBitwise) {
