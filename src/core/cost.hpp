@@ -3,6 +3,7 @@
 // Workload (per-iteration flops/bytes); a CostModel turns accumulated counts
 // into predicted seconds on a MachineModel.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -86,7 +87,7 @@ class CostModel {
   ///
   /// CAUTION — this is a *lower bound*, not the authoritative accounting.
   /// It applies the roofline max over the run's AGGREGATE flop/byte
-  /// totals, while the simulated clock (ExecContext::sim_time_, shadow
+  /// totals, while the simulated clock (StreamClock, shadow
   /// pricing, reprice()) takes the max per launch:
   ///     max(sum f_i, sum b_i) <= sum max(f_i, b_i).
   /// The two agree exactly when every launch sits on the same side of the
@@ -112,6 +113,79 @@ class CostModel {
   MachineModel machine_;
 };
 
+/// The simulated stream schedule (DESIGN.md section 11), the one copy both
+/// the live ExecContext clock and reprice_streamed drive: per-stream
+/// in-order execution, kernels limited to `concurrent_kernels` execution
+/// slots, one DMA engine per transfer direction (both overlap kernels), and
+/// a sync floor so streams created after a join cannot start before it.
+/// Streams are created at the floor on first use.
+class StreamClock {
+ public:
+  explicit StreamClock(int concurrent_kernels)
+      : slots_(static_cast<std::size_t>(std::max(1, concurrent_kernels)),
+               0.0) {}
+
+  /// Seconds at which the last-finishing operation ends.
+  double makespan() const { return makespan_; }
+
+  /// Places a kernel of duration `t` on stream `s`: it starts when the
+  /// stream is ready AND a kernel slot frees up. Returns the start time.
+  double kernel(std::size_t s, double t) {
+    double& ready = ready_at(s);
+    auto slot = std::min_element(slots_.begin(), slots_.end());
+    const double start = std::max(ready, *slot);
+    *slot = ready = finish(start + t);
+    return start;
+  }
+
+  /// Places a transfer of duration `t` on stream `s` and its direction's
+  /// copy engine. Returns the start time.
+  double transfer(std::size_t s, double t, bool to_device) {
+    double& ready = ready_at(s);
+    double& engine = dma_[to_device ? 0 : 1];
+    const double start = std::max(ready, engine);
+    engine = ready = finish(start + t);
+    return start;
+  }
+
+  /// Completion time of everything issued on stream `s` so far.
+  double record(std::size_t s) { return ready_at(s); }
+
+  /// Work issued on stream `s` from now on starts no earlier than `t`.
+  /// Returns the stream's ready time.
+  double wait(std::size_t s, double t) {
+    double& ready = ready_at(s);
+    if (t > ready) ready = t;
+    return ready;
+  }
+
+  /// Joins every stream at the makespan and returns it.
+  double sync() {
+    floor_ = makespan_;
+    for (auto& r : ready_) r = makespan_;
+    return makespan_;
+  }
+
+  void reset() { *this = StreamClock(static_cast<int>(slots_.size())); }
+
+ private:
+  double& ready_at(std::size_t s) {
+    if (s >= ready_.size()) ready_.resize(s + 1, floor_);
+    return ready_[s];
+  }
+
+  double finish(double end) {
+    if (end > makespan_) makespan_ = end;
+    return end;
+  }
+
+  std::vector<double> ready_ = {0.0};
+  std::vector<double> slots_;
+  double dma_[2] = {0.0, 0.0};
+  double floor_ = 0.0;
+  double makespan_ = 0.0;
+};
+
 /// Re-prices a recorded kernel/transfer trace on `m`, per event — the
 /// authoritative per-launch form that CostModel::predict can only lower
 /// bound. Restricting to one timeline phase (empty = all) gives the
@@ -122,10 +196,8 @@ double reprice(const obs::TraceBuffer& trace, const CostModel& m,
                std::string_view phase = {});
 
 /// Re-prices a trace on `m` honoring stream overlap: events replay in
-/// issue order through the same scheduling the streamed ExecContext clock
-/// uses — per-stream in-order execution, kernels limited to the machine's
-/// `concurrent_kernels` slots, one DMA engine per transfer direction —
-/// with durations recomputed on the target machine. Returns the makespan.
+/// issue order through a StreamClock sized to `m`, with durations
+/// recomputed on the target machine. Returns the makespan.
 /// The host-side ordering edges (record_event/wait_event/sync) are carried
 /// in the trace as zero-duration markers and replayed at the repriced
 /// times, so on the machine the trace was recorded on this agrees exactly

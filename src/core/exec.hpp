@@ -56,12 +56,9 @@ class ExecContext {
   /// Host-only context charging time to `host_model`.
   explicit ExecContext(Backend backend = Backend::Seq,
                        hsim::MachineModel model = hsim::machines::host())
-      : backend_(backend), model_(std::move(model)) {
-    kernel_slots_.assign(
-        static_cast<std::size_t>(
-            std::max(1, model_.machine().concurrent_kernels)),
-        0.0);
-  }
+      : backend_(backend),
+        model_(std::move(model)),
+        clock_(model_.machine().concurrent_kernels) {}
 
   Backend backend() const { return backend_; }
   const hsim::CostModel& model() const { return model_; }
@@ -73,20 +70,16 @@ class ExecContext {
   /// Simulated seconds at which the last-finishing operation ends (the
   /// makespan). With one stream this is the serialized sum of all
   /// operation times; with overlap it can be smaller than that sum.
-  double simulated_time() const { return sim_time_; }
+  double simulated_time() const { return clock_.makespan(); }
   void reset() {
     counters_.reset();
-    sim_time_ = 0.0;
+    clock_.reset();
     timeline_.clear();
     // Shadow accumulators are part of the run being reset too — leaving
     // them would make shadow_time() report stale totals forever after.
     for (auto& s : shadows_) s.second = 0.0;
     if (trace_) trace_->clear();
-    stream_ready_.assign(1, 0.0);
-    std::fill(kernel_slots_.begin(), kernel_slots_.end(), 0.0);
-    copy_ready_[0] = copy_ready_[1] = 0.0;
     cur_stream_ = 0;
-    stream_floor_ = 0.0;
     next_event_id_ = 0;
   }
 
@@ -107,16 +100,13 @@ class ExecContext {
   /// Subsequent launches/transfers issue onto simulated stream `id`
   /// (created on first use). Work on different streams may overlap per
   /// the machine model; work within one stream always serializes.
-  void stream(std::size_t id) {
-    cur_stream_ = id;
-    (void)stream_ready(id);
-  }
+  void stream(std::size_t id) { cur_stream_ = id; }
   std::size_t current_stream() const { return cur_stream_; }
 
   /// Records an event on the current stream: it completes when all work
   /// issued on this stream so far has completed.
   StreamEvent record_event() {
-    StreamEvent ev{stream_ready(cur_stream_), next_event_id_++};
+    StreamEvent ev{clock_.record(cur_stream_), next_event_id_++};
     if (trace_) push_marker(obs::TraceEvent::Kind::EventRecord, ev.t, ev.id);
     return ev;
   }
@@ -124,18 +114,16 @@ class ExecContext {
   /// Makes subsequent work on the current stream start no earlier than
   /// `ev` completes (cudaStreamWaitEvent).
   void wait_event(StreamEvent ev) {
-    double& r = stream_ready(cur_stream_);
-    if (ev.t > r) r = ev.t;
+    const double r = clock_.wait(cur_stream_, ev.t);
     if (trace_) push_marker(obs::TraceEvent::Kind::EventWait, r, ev.id);
   }
 
   /// Joins every stream (cudaDeviceSynchronize): subsequent work on any
   /// stream starts at or after the returned makespan.
   double sync() {
-    stream_floor_ = sim_time_;
-    for (auto& r : stream_ready_) r = sim_time_;
-    if (trace_) push_marker(obs::TraceEvent::Kind::Sync, sim_time_, -1);
-    return sim_time_;
+    const double t = clock_.sync();
+    if (trace_) push_marker(obs::TraceEvent::Kind::Sync, t, -1);
+    return t;
   }
 
   /// Opt-in per-kernel tracing: attaches a (non-owned) ring buffer that
@@ -341,7 +329,7 @@ class ExecContext {
       delta.d2h_bytes = bytes;
     }
     const double t = model_.transfer_time(bytes);
-    const double start = schedule_transfer(t, to_device);
+    const double start = clock_.transfer(cur_stream_, t, to_device);
     timeline_.add(phase_, t, delta);
     if (trace_) {
       obs::TraceEvent e;
@@ -428,38 +416,6 @@ class ExecContext {
     }
   }
 
-  /// Places a kernel of duration `t` on the current stream: it starts when
-  /// the stream is ready AND a kernel slot (of the machine's
-  /// concurrent_kernels many) frees up. Returns the start time.
-  double schedule_kernel(double t) {
-    double start = stream_ready(cur_stream_);
-    auto slot = std::min_element(kernel_slots_.begin(), kernel_slots_.end());
-    if (*slot > start) start = *slot;
-    const double end = start + t;
-    *slot = end;
-    stream_ready_[cur_stream_] = end;
-    if (end > sim_time_) sim_time_ = end;
-    return start;
-  }
-
-  /// Places a transfer on the current stream and its direction's DMA copy
-  /// engine (h2d and d2h engines are independent; both overlap kernels).
-  double schedule_transfer(double t, bool to_device) {
-    double& engine = copy_ready_[to_device ? 0 : 1];
-    double start = stream_ready(cur_stream_);
-    if (engine > start) start = engine;
-    const double end = start + t;
-    engine = end;
-    stream_ready_[cur_stream_] = end;
-    if (end > sim_time_) sim_time_ = end;
-    return start;
-  }
-
-  double& stream_ready(std::size_t s) {
-    if (s >= stream_ready_.size()) stream_ready_.resize(s + 1, stream_floor_);
-    return stream_ready_[s];
-  }
-
   /// Appends a zero-duration ordering marker (record/wait/sync) so offline
   /// consumers can rebuild the host-side dependency edges. Costs nothing on
   /// the simulated clock; only called with a trace attached.
@@ -480,7 +436,7 @@ class ExecContext {
     counters_.flops += c.flops;
     counters_.bytes += c.bytes;
     const double t = model_.kernel_time(c);
-    const double start = schedule_kernel(t);
+    const double start = clock_.kernel(cur_stream_, t);
     hsim::Counters delta;
     delta.launches = 1;
     delta.flops = c.flops;
@@ -519,15 +475,8 @@ class ExecContext {
   hsim::Counters counters_;
   hsim::Timeline timeline_;
   obs::TraceBuffer* trace_ = nullptr;
-  double sim_time_ = 0.0;
-  // Per-stream readiness, kernel execution slots, and the two DMA engines.
-  // All start at stream_floor_, which sync() advances so streams created
-  // after a join cannot schedule work before it.
-  std::vector<double> stream_ready_ = {0.0};
-  std::vector<double> kernel_slots_;
-  double copy_ready_[2] = {0.0, 0.0};
+  hsim::StreamClock clock_;
   std::size_t cur_stream_ = 0;
-  double stream_floor_ = 0.0;
   std::int64_t next_event_id_ = 0;
   std::string phase_ = "main";
   std::string label_;

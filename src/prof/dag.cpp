@@ -56,20 +56,23 @@ bool is_transfer(obs::TraceEvent::Kind k) {
 
 double end_of(const obs::TraceEvent& e) { return e.t_start + e.duration; }
 
-/// Finds the binding predecessor of `events[ci]`: the already-issued event
-/// whose completion coincides with cur's start. When several ends land on
-/// the start time (within eps), the most specific constraint wins:
-/// program order on the same stream, then a replayed wait edge, then
-/// resource contention (kernel slot / DMA engine), then a generic
-/// dependency. Returns events.size() when no predecessor binds — the
-/// chain has reached the window origin (or a trace gap).
-std::size_t binding_predecessor(const std::vector<obs::TraceEvent>& events,
+/// prof's binding rule: the binding predecessor of `events[ci]` is the
+/// already-issued event whose completion coincides with its start. When
+/// several ends land on the start time (within eps), the most specific
+/// constraint wins: program order on the same stream, then a replayed wait
+/// edge, then resource contention (kernel slot / DMA engine), then a
+/// generic dependency. With no predecessor the chain has reached the
+/// window origin (or a trace gap).
+Hop<EdgeKind, std::size_t> bind(const std::vector<obs::TraceEvent>& events,
                                 const std::vector<char>& wait_bound,
-                                std::size_t ci, double eps, EdgeKind* via) {
+                                std::size_t ci, double eps) {
+  // Kernel-slot and DMA-engine contention rank equal.
+  auto rank = [](EdgeKind k) {
+    return k == EdgeKind::DmaEngine ? EdgeKind::KernelSlot : k;
+  };
   const obs::TraceEvent& cur = events[ci];
-  const double target = cur.t_start;
-  std::size_t best = events.size();
-  int best_rank = 99;
+  Hop<EdgeKind, std::size_t> hop;
+  EdgeKind best = EdgeKind::Root;
   double best_err = 0.0;
   for (std::size_t j = ci; j-- > 0;) {
     const obs::TraceEvent& p = events[j];
@@ -77,42 +80,29 @@ std::size_t binding_predecessor(const std::vector<obs::TraceEvent>& events,
     // since their start == their end, chaining through them would not
     // advance the backward walk.
     if (!(p.duration > 0.0)) continue;
-    const double err = std::abs(end_of(p) - target);
+    const double err = std::abs(end_of(p) - cur.t_start);
     if (err > eps) continue;
-    int rank;
+    EdgeKind via = EdgeKind::Dependency;
     if (p.stream == cur.stream) {
-      rank = 0;  // ProgramOrder
+      via = EdgeKind::ProgramOrder;
     } else if (wait_bound[ci]) {
-      rank = 1;  // EventWait
+      via = EdgeKind::EventWait;
     } else if (cur.kind == obs::TraceEvent::Kind::Kernel &&
                p.kind == obs::TraceEvent::Kind::Kernel) {
-      rank = 2;  // KernelSlot
+      via = EdgeKind::KernelSlot;
     } else if (is_transfer(cur.kind) && p.kind == cur.kind) {
-      rank = 2;  // DmaEngine
-    } else {
-      rank = 3;  // Dependency
+      via = EdgeKind::DmaEngine;
     }
-    if (rank < best_rank || (rank == best_rank && err < best_err)) {
-      best = j;
-      best_rank = rank;
+    if (!hop.next || rank(via) < rank(best) ||
+        (rank(via) == rank(best) && err < best_err)) {
+      hop.next = j;
+      best = via;
       best_err = err;
     }
   }
-  if (best == events.size()) {
-    *via = EdgeKind::Root;
-    return best;
-  }
-  switch (best_rank) {
-    case 0: *via = EdgeKind::ProgramOrder; break;
-    case 1: *via = EdgeKind::EventWait; break;
-    case 2:
-      *via = events[ci].kind == obs::TraceEvent::Kind::Kernel
-                 ? EdgeKind::KernelSlot
-                 : EdgeKind::DmaEngine;
-      break;
-    default: *via = EdgeKind::Dependency; break;
-  }
-  return best;
+  hop.step = CritStep<EdgeKind>{ci,          cur.stream,  best,
+                                cur.t_start, end_of(cur), cur.duration};
+  return hop;
 }
 
 }  // namespace
@@ -186,25 +176,16 @@ DagProfile analyze(const obs::TraceBuffer& buf) {
   prof.window_s = prof.makespan - prof.origin;
 
   // Per-phase busy decomposition + dependency stalls. The launch-overhead
-  // share of each kernel comes from the stamped machine metadata; the
-  // roofline remainder is attributed per the event's recorded bound.
+  // share of each kernel comes from the stamped machine metadata.
   for (const auto& e : prof.events) {
     auto& ph = phase_of(e);
     ph.busy_s += e.duration;
-    if (e.kind == obs::TraceEvent::Kind::Kernel) {
-      ph.kernels++;
-      const double launch = std::min(e.duration, prof.launch_overhead);
-      ph.launch_s += launch;
-      const double roofline = e.duration - launch;
-      if (e.bound == obs::TraceEvent::Bound::Compute) {
-        ph.compute_s += roofline;
-      } else {
-        ph.memory_s += roofline;
-      }
-    } else {
-      ph.transfers++;
-      ph.transfer_s += e.duration;
-    }
+    ++(e.kind == obs::TraceEvent::Kind::Kernel ? ph.kernels : ph.transfers);
+    const Roofline r = roofline(e, prof.launch_overhead);
+    ph.compute_s += r.compute;
+    ph.memory_s += r.memory;
+    ph.launch_s += r.launch;
+    ph.transfer_s += r.transfer;
     auto it = last_end.find(e.stream);
     const double prev = it == last_end.end() ? prof.origin : it->second;
     if (e.t_start > prev) ph.stall_s += e.t_start - prev;
@@ -225,29 +206,17 @@ DagProfile analyze(const obs::TraceBuffer& buf) {
 
   // Backward walk from the sink. Each predecessor's end coincides with the
   // current start, so the chain is gapless and start times strictly
-  // decrease (binding predecessors have duration > 0) — termination is
-  // guaranteed.
+  // decrease (binding predecessors have duration > 0) — the walk ends
+  // within one hop per event.
   const double eps =
       1e-9 * std::max({1.0, std::abs(prof.makespan), prof.window_s});
-  std::size_t cur = sink;
-  for (;;) {
-    EdgeKind via = EdgeKind::Root;
-    const std::size_t pred = binding_predecessor(
-        prof.events, wait_bound, cur, eps, &via);
-    prof.critical_path.push_back(CritStep{cur, via});
-    if (pred == prof.events.size()) break;
-    cur = pred;
-  }
-  std::reverse(prof.critical_path.begin(), prof.critical_path.end());
-
+  prof.walk(sink, prof.events.size(), prof.window_s,
+            DagProfile::Tally::EarliestFirst, [&](std::size_t ci) {
+              return bind(prof.events, wait_bound, ci, eps);
+            });
   for (const auto& step : prof.critical_path) {
-    const auto& e = prof.events[step.event];
-    prof.critical_s += e.duration;
-    prof.edge_seconds[static_cast<std::size_t>(step.via)] += e.duration;
-    phase_of(e).crit_s += e.duration;
+    phase_of(prof.events[step.event]).crit_s += step.seconds;
   }
-  prof.coverage =
-      prof.window_s > 0.0 ? prof.critical_s / prof.window_s : 1.0;
   return prof;
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "prof/path.hpp"
 
 namespace coe::prof {
 
@@ -43,14 +44,6 @@ enum class Category : std::uint8_t {
 };
 
 const char* to_string(Category c);
-
-/// One step of the critical path, earliest-first. `event` indexes the
-/// analysis' event list (markers excluded); `via` names the constraint
-/// that chained this event to its predecessor.
-struct CritStep {
-  std::size_t event = 0;
-  EdgeKind via = EdgeKind::Root;
-};
 
 /// Per-phase attribution. The busy decomposition (compute/memory/launch/
 /// transfer) partitions the phase's busy seconds exactly; adding the
@@ -81,8 +74,9 @@ struct StreamProfile {
   double utilization = 0.0;  ///< busy_s / window_s
 };
 
-/// The full attribution of one traced run.
-struct DagProfile {
+/// The full attribution of one traced run. The inherited critical path
+/// indexes `events`; its lanes are streams and its window is window_s.
+struct DagProfile : CriticalPath<EdgeKind> {
   std::string machine;        ///< from the buffer's source metadata
   double launch_overhead = 0.0;
   std::uint64_t dropped = 0;  ///< ring drops — attribution is partial if > 0
@@ -91,17 +85,10 @@ struct DagProfile {
   double makespan = 0.0;    ///< latest event end
   double window_s = 0.0;    ///< makespan - origin
   double busy_s = 0.0;      ///< serialized sum of all durations
-  double critical_s = 0.0;  ///< total duration along the critical path
-  /// critical_s / window_s: 1.0 when the chain tiles the window exactly;
-  /// less when the trace is truncated or events are missing.
-  double coverage = 0.0;
   /// busy_s / window_s: 1.0 = fully serialized, >1 = overlap won time.
   double overlap_efficiency = 0.0;
 
   std::vector<obs::TraceEvent> events;  ///< markers excluded, issue order
-  std::vector<CritStep> critical_path;  ///< earliest-first
-  /// Seconds of the critical path entered through each edge kind.
-  double edge_seconds[6] = {0, 0, 0, 0, 0, 0};
   std::vector<StreamProfile> streams;
   std::vector<PhaseProfile> phases;     ///< first-use order
 

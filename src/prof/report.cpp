@@ -104,18 +104,7 @@ std::string bottleneck_report(const DagProfile& prof,
        << 100.0 * s.utilization << "% utilized\n";
   }
 
-  os << "  critical path enters via:\n";
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (prof.edge_seconds[i] <= 0.0) continue;
-    os << "    " << std::left << std::setw(14)
-       << to_string(static_cast<EdgeKind>(i)) << std::right << std::setw(12)
-       << std::scientific << std::setprecision(3) << prof.edge_seconds[i]
-       << " s  (" << std::fixed << std::setprecision(1)
-       << (prof.critical_s > 0
-               ? 100.0 * prof.edge_seconds[i] / prof.critical_s
-               : 0.0)
-       << "%)\n";
-  }
+  write_edge_table(os, prof);
 
   os << std::left << std::setw(24) << "  phase" << std::right << std::setw(12)
      << "total (s)" << std::setw(12) << "crit (s)" << std::setw(8) << "comp%"
@@ -144,12 +133,7 @@ obs::Json profile_json(const DagProfile& prof, const Profiler* spans,
   j.set("coverage", obs::Json::number(prof.coverage));
   j.set("overlap_efficiency", obs::Json::number(prof.overlap_efficiency));
 
-  obs::Json edges = obs::Json::object();
-  for (std::size_t i = 0; i < 6; ++i) {
-    edges.set(to_string(static_cast<EdgeKind>(i)),
-              obs::Json::number(prof.edge_seconds[i]));
-  }
-  j.set("critical_edge_seconds", std::move(edges));
+  j.set("critical_edge_seconds", edge_seconds_json(prof));
   j.set("critical_steps",
         obs::Json::number(static_cast<double>(prof.critical_path.size())));
 
@@ -176,26 +160,34 @@ obs::Json profile_json(const DagProfile& prof, const Profiler* spans,
   return j;
 }
 
+std::array<std::string, 2> flow_pair(const char* name, const char* cat,
+                                     std::size_t id, FlowEnd from,
+                                     FlowEnd to) {
+  std::ostringstream s, f;
+  s << "{\"name\":\"" << name << "\",\"cat\":\"" << cat
+    << "\",\"ph\":\"s\",\"id\":" << id
+    << ",\"ts\":" << obs::Json::number(from.t_s * 1e6).dump()
+    << ",\"pid\":" << from.pid << ",\"tid\":" << from.tid << "}";
+  f << "{\"name\":\"" << name << "\",\"cat\":\"" << cat
+    << "\",\"ph\":\"f\",\"bp\":\"e\",\"id\":" << id
+    << ",\"ts\":" << obs::Json::number(to.t_s * 1e6).dump()
+    << ",\"pid\":" << to.pid << ",\"tid\":" << to.tid << "}";
+  return {s.str(), f.str()};
+}
+
 std::vector<std::string> critical_path_flow_events(const DagProfile& prof) {
   std::vector<std::string> out;
   // One s->f flow pair per consecutive step; viewers render these as
   // arrows along the binding chain. Nothing else in the trace uses flow
   // ids, so a running counter suffices.
   for (std::size_t i = 0; i + 1 < prof.critical_path.size(); ++i) {
-    const auto& a = prof.events[prof.critical_path[i].event];
-    const auto& b = prof.events[prof.critical_path[i + 1].event];
-    const double a_end_us = (a.t_start + a.duration) * 1e6;
-    const double b_start_us = b.t_start * 1e6;
-    std::ostringstream s, f;
-    s << "{\"name\":\"critical\",\"cat\":\"critical_path\",\"ph\":\"s\","
-      << "\"id\":" << i << ",\"ts\":" << obs::Json::number(a_end_us).dump()
-      << ",\"pid\":0,\"tid\":" << a.stream << "}";
-    f << "{\"name\":\"critical\",\"cat\":\"critical_path\",\"ph\":\"f\","
-      << "\"bp\":\"e\",\"id\":" << i
-      << ",\"ts\":" << obs::Json::number(b_start_us).dump()
-      << ",\"pid\":0,\"tid\":" << b.stream << "}";
-    out.push_back(s.str());
-    out.push_back(f.str());
+    const auto& a = prof.critical_path[i];
+    const auto& b = prof.critical_path[i + 1];
+    for (std::string& e : flow_pair("critical", "critical_path", i,
+                                     {a.end_s, 0, a.lane},
+                                     {b.start_s, 0, b.lane})) {
+      out.push_back(std::move(e));
+    }
   }
   return out;
 }

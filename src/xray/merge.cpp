@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace coe::xray {
@@ -45,15 +46,27 @@ namespace {
 /// occupancy, or a receive's ejection-engine drain.
 enum class Aspect : std::uint8_t { Program, Wire, Eject };
 
-struct Walker {
+/// Where the backward walk stands: an event, the interval of it the chain
+/// runs through, and the time that interval must end at.
+struct Cursor {
+  std::size_t ei = 0;
+  Aspect aspect = Aspect::Program;
+  double upper = 0.0;
+};
+
+/// The cross-rank binding rules over the replay clocks (program, wire,
+/// eject), the multi-rank view's input to the prof critical-path walk.
+struct Rules {
   const net::Replay& rep;
-  Report& out;
+  std::vector<std::string>& diagnostics;
+  double eps;
   // Per-event index of the same rank's previous Send / previous Recv (the
   // event holding the engine before this one), -1 when none.
   std::vector<std::ptrdiff_t> prev_send;
   std::vector<std::ptrdiff_t> prev_recv;
 
-  explicit Walker(const net::Replay& r, Report& o) : rep(r), out(o) {
+  Rules(const net::Replay& r, std::vector<std::string>& diags)
+      : rep(r), diagnostics(diags), eps(1e-12 * std::max(1.0, r.makespan_s)) {
     prev_send.assign(rep.events.size(), -1);
     prev_recv.assign(rep.events.size(), -1);
     for (const auto& order : rep.rank_events) {
@@ -68,244 +81,167 @@ struct Walker {
     }
   }
 
-  void emit(std::size_t ei, EdgeKind via, double lower, double upper) {
-    CritStep s;
-    s.event = ei;
-    s.rank = rep.events[ei].ev.rank;
-    s.via = via;
-    s.start_s = lower;
-    s.end_s = upper;
-    out.critical_path.push_back(s);
-    out.edge_seconds[static_cast<std::size_t>(via)] += upper - lower;
+  /// Cursor onto event `ei` (none when negative); the walk fills `upper`.
+  static std::optional<Cursor> link(std::ptrdiff_t ei, Aspect aspect) {
+    if (ei < 0) return std::nullopt;
+    return Cursor{static_cast<std::size_t>(ei), aspect, 0.0};
   }
-
-  struct Pred {
-    bool has = false;
-    std::size_t ei = 0;
-    Aspect aspect = Aspect::Program;
-  };
 
   /// Same-rank program predecessor of event `ei` (the event whose t_after
   /// is this one's t_before).
-  Pred program_pred(std::size_t ei) const {
+  std::optional<Cursor> program_pred(std::size_t ei) const {
     const net::ReplayEvent& re = rep.events[ei];
-    if (re.pos == 0) return {};
+    if (re.pos == 0) return std::nullopt;
     const auto& order =
         rep.rank_events[static_cast<std::size_t>(re.ev.rank)];
-    return {true, order[re.pos - 1], Aspect::Program};
+    return Cursor{order[re.pos - 1], Aspect::Program, 0.0};
   }
 
-  /// Runs the backward walk from the terminal constraint. Steps come out
-  /// latest-first; analyze() reverses them.
-  void walk(std::size_t ei, Aspect aspect, double upper) {
-    const double eps = 1e-12 * std::max(1.0, rep.makespan_s);
-    // Positions strictly decrease along every rank's chain, so the walk
-    // cannot loop; the cap is a belt-and-braces guard.
-    std::size_t guard = 2 * rep.events.size() + 16;
-    while (guard-- > 0) {
-      const net::ReplayEvent& re = rep.events[ei];
-      const auto kind = re.ev.kind;
-      double lower = 0.0;
-      EdgeKind via = EdgeKind::Root;
-      Pred pred;
+  void broke(int rank, double t) {
+    diagnostics.push_back("critical-path chain broke at rank " +
+                          std::to_string(rank) + " t=" + std::to_string(t) +
+                          "s — inconsistent replay");
+  }
 
-      if (aspect == Aspect::Wire) {
-        // A send's wire occupancy [wire_start, upper]; upper includes the
-        // alpha latency when the consumer is a message edge.
-        lower = re.wire_start;
-        if (re.t_before >= re.inj_before) {
-          via = EdgeKind::Program;
-          pred = program_pred(ei);
-        } else {
-          via = EdgeKind::Injection;
-          if (prev_send[ei] >= 0) {
-            pred = {true, static_cast<std::size_t>(prev_send[ei]),
-                    Aspect::Wire};
-          }
-        }
-      } else if (aspect == Aspect::Eject ||
-                 (kind == net::NetEvent::Kind::Recv &&
-                  re.t_after > re.t_before)) {
-        // A receive's drain [eject_start, done]: bound either by the
-        // matched message's arrival or by the ejection engine still
-        // draining the previous receive.
-        lower = re.eject_start;
-        if (re.arrival >= re.ej_before) {
-          via = EdgeKind::Message;
-          if (re.match >= 0) {
-            pred = {true, static_cast<std::size_t>(re.match), Aspect::Wire};
-          }
-        } else {
-          via = EdgeKind::Ejection;
-          if (prev_recv[ei] >= 0) {
-            pred = {true, static_cast<std::size_t>(prev_recv[ei]),
-                    Aspect::Eject};
-          }
-        }
-      } else if (kind == net::NetEvent::Kind::Allreduce ||
-                 kind == net::NetEvent::Kind::Barrier) {
-        if (re.entry <= re.t_before) {
-          // This rank arrived last: the collective chains to its own
-          // program.
-          lower = re.t_before;
-          via = EdgeKind::Program;
-          pred = program_pred(ei);
-        } else {
-          // Bound by the last-arriving member of the group.
-          lower = re.entry;
-          via = EdgeKind::Collective;
-          if (re.group >= 0 &&
-              static_cast<std::size_t>(re.group) < rep.groups.size()) {
-            std::size_t late = ei;
-            double best = -1.0;
-            for (std::size_t mi :
-                 rep.groups[static_cast<std::size_t>(re.group)]) {
-              if (rep.events[mi].t_before > best) {
-                best = rep.events[mi].t_before;
-                late = mi;
-              }
-            }
-            pred = program_pred(late);
-          }
-        }
-      } else if (kind == net::NetEvent::Kind::Send && re.ev.blocking &&
-                 re.t_after > re.t_before) {
-        // Blocking send: the program rode the wire to wire_end.
-        lower = re.wire_start;
-        if (re.t_before >= re.inj_before) {
-          via = EdgeKind::Program;
-          pred = program_pred(ei);
-        } else {
-          via = EdgeKind::Injection;
-          if (prev_send[ei] >= 0) {
-            pred = {true, static_cast<std::size_t>(prev_send[ei]),
-                    Aspect::Wire};
-          }
-        }
+  /// The step `c` contributes and the cursor it chains to. Only receives
+  /// are entered through Eject, so a send's wire interval and a blocking
+  /// send's program advance share one rule.
+  prof::Hop<EdgeKind, Cursor> operator()(const Cursor& c) {
+    const net::ReplayEvent& re = rep.events[c.ei];
+    const auto kind = re.ev.kind;
+    double lower = 0.0;
+    EdgeKind via = EdgeKind::Root;
+    std::optional<Cursor> pred;
+
+    if (c.aspect == Aspect::Wire ||
+        (kind == net::NetEvent::Kind::Send && re.ev.blocking &&
+         re.t_after > re.t_before)) {
+      // A send's wire occupancy [wire_start, upper]; upper includes the
+      // alpha latency when the consumer is a message edge. A blocking send
+      // rode the wire to wire_end on its own program clock.
+      lower = re.wire_start;
+      if (re.t_before >= re.inj_before) {
+        via = EdgeKind::Program;
+        pred = program_pred(c.ei);
       } else {
-        // Compute, posted send (alpha), or any zero-advance event: plain
-        // program chaining.
-        if (re.t_after <= re.t_before) {
-          // No clock advance — transparent link in the chain.
-          pred = program_pred(ei);
-          if (!pred.has) {
-            if (upper > eps) {
-              out.diagnostics.push_back(
-                  "critical-path chain broke at rank " +
-                  std::to_string(re.ev.rank) + " t=" +
-                  std::to_string(upper) + "s — inconsistent replay");
-            }
-            return;
-          }
-          ei = pred.ei;
-          aspect = pred.aspect;
-          continue;
-        }
+        via = EdgeKind::Injection;
+        pred = link(prev_send[c.ei], Aspect::Wire);
+      }
+    } else if (c.aspect == Aspect::Eject ||
+               (kind == net::NetEvent::Kind::Recv &&
+                re.t_after > re.t_before)) {
+      // A receive's drain [eject_start, done]: bound either by the
+      // matched message's arrival or by the ejection engine still
+      // draining the previous receive.
+      lower = re.eject_start;
+      if (re.arrival >= re.ej_before) {
+        via = EdgeKind::Message;
+        pred = link(re.match, Aspect::Wire);
+      } else {
+        via = EdgeKind::Ejection;
+        pred = link(prev_recv[c.ei], Aspect::Eject);
+      }
+    } else if (kind == net::NetEvent::Kind::Allreduce ||
+               kind == net::NetEvent::Kind::Barrier) {
+      if (re.entry <= re.t_before) {
+        // This rank arrived last: the collective chains to its own
+        // program.
         lower = re.t_before;
         via = EdgeKind::Program;
-        pred = program_pred(ei);
-      }
-
-      if (!pred.has) via = EdgeKind::Root;
-      emit(ei, via, lower, upper);
-      if (!pred.has || lower <= eps) {
-        if (!pred.has && lower > eps) {
-          out.diagnostics.push_back(
-              "critical-path chain broke at rank " +
-              std::to_string(re.ev.rank) + " t=" + std::to_string(lower) +
-              "s — inconsistent replay");
+        pred = program_pred(c.ei);
+      } else {
+        // Bound by the last-arriving member of the group.
+        lower = re.entry;
+        via = EdgeKind::Collective;
+        if (re.group >= 0 &&
+            static_cast<std::size_t>(re.group) < rep.groups.size()) {
+          std::size_t late = c.ei;
+          double best = -1.0;
+          for (std::size_t mi :
+               rep.groups[static_cast<std::size_t>(re.group)]) {
+            if (rep.events[mi].t_before > best) {
+              best = rep.events[mi].t_before;
+              late = mi;
+            }
+          }
+          pred = program_pred(late);
         }
-        return;
       }
-      ei = pred.ei;
-      aspect = pred.aspect;
-      upper = lower;
+    } else {
+      // Compute, posted send (alpha), or any zero-advance event: plain
+      // program chaining.
+      pred = program_pred(c.ei);
+      if (re.t_after <= re.t_before) {
+        // No clock advance — transparent link in the chain.
+        if (!pred) {
+          if (c.upper > eps) broke(re.ev.rank, c.upper);
+          return {};
+        }
+        pred->upper = c.upper;
+        return {std::nullopt, pred};
+      }
+      lower = re.t_before;
+      via = EdgeKind::Program;
     }
-    out.diagnostics.push_back(
-        "critical-path walk exceeded its step budget — inconsistent replay");
+
+    if (!pred) via = EdgeKind::Root;
+    prof::Hop<EdgeKind, Cursor> hop;
+    hop.step = prof::CritStep<EdgeKind>{c.ei, re.ev.rank, via,
+                                        lower, c.upper, c.upper - lower};
+    if (!pred || lower <= eps) {
+      if (!pred && lower > eps) broke(re.ev.rank, lower);
+      return hop;
+    }
+    pred->upper = lower;
+    hop.next = pred;
+    return hop;
   }
 };
 
+/// Index of rank `r`'s last event of `kind`, -1 when it has none.
+std::ptrdiff_t last_of(const net::Replay& rep, std::size_t r,
+                       net::NetEvent::Kind kind) {
+  std::ptrdiff_t last = -1;
+  for (std::size_t ei : rep.rank_events[r]) {
+    if (rep.events[ei].ev.kind == kind) last = static_cast<std::ptrdiff_t>(ei);
+  }
+  return last;
+}
+
 /// Finds the terminal constraint — the (event, aspect) whose completion
-/// time equals the event makespan — and runs the walk from it.
+/// time equals the event makespan — and walks back from it.
 void critical_path(const net::Replay& rep, Report& out) {
   const double M = rep.makespan_s;
   if (M <= 0.0 || rep.events.empty()) {
     out.coverage = 1.0;
     return;
   }
-  Walker w(rep, out);
-  for (std::size_t r = 0; r < rep.finish.size(); ++r) {
+  std::optional<Cursor> terminal;
+  for (std::size_t r = 0; r < rep.finish.size() && !terminal; ++r) {
     if (rep.finish[r] >= M && !rep.rank_events[r].empty()) {
-      w.walk(rep.rank_events[r].back(), Aspect::Program, M);
-      break;
+      terminal = Cursor{rep.rank_events[r].back(), Aspect::Program, M};
     }
-    if (rep.inj[r] >= M) {
-      // The injection engine outlived the program: the makespan is the
-      // last posted send still on the wire.
-      std::ptrdiff_t last = -1;
-      for (std::size_t ei : rep.rank_events[r]) {
-        if (rep.events[ei].ev.kind == net::NetEvent::Kind::Send) {
-          last = static_cast<std::ptrdiff_t>(ei);
-        }
-      }
-      if (last >= 0) {
-        w.walk(static_cast<std::size_t>(last), Aspect::Wire, M);
-        break;
-      }
+    // An engine that outlived the program: the makespan is the last posted
+    // send still on the wire, or the last receive still draining.
+    if (!terminal && rep.inj[r] >= M) {
+      terminal = Rules::link(last_of(rep, r, net::NetEvent::Kind::Send),
+                             Aspect::Wire);
     }
-    if (rep.ej[r] >= M) {
-      std::ptrdiff_t last = -1;
-      for (std::size_t ei : rep.rank_events[r]) {
-        if (rep.events[ei].ev.kind == net::NetEvent::Kind::Recv) {
-          last = static_cast<std::ptrdiff_t>(ei);
-        }
-      }
-      if (last >= 0) {
-        w.walk(static_cast<std::size_t>(last), Aspect::Eject, M);
-        break;
-      }
+    if (!terminal && rep.ej[r] >= M) {
+      terminal = Rules::link(last_of(rep, r, net::NetEvent::Kind::Recv),
+                             Aspect::Eject);
     }
   }
-  std::reverse(out.critical_path.begin(), out.critical_path.end());
-  for (const CritStep& s : out.critical_path) {
-    out.critical_s += s.seconds();
+  if (!terminal) return;
+  terminal->upper = M;
+  Rules rules(rep, out.diagnostics);
+  // Positions strictly decrease along every rank's chain, so the walk
+  // cannot loop; the budget is a belt-and-braces guard.
+  if (!out.walk(*terminal, 2 * rep.events.size() + 16, M,
+                Report::Tally::AsWalked, rules)) {
+    out.diagnostics.push_back(
+        "critical-path walk exceeded its step budget — inconsistent replay");
   }
-  out.coverage = M > 0.0 ? out.critical_s / M : 1.0;
-}
-
-/// Roofline fractions of one rank's kernel trace: how its busy time splits
-/// into compute-bound roofline time, memory-bound roofline time, and
-/// launch overhead + host<->device transfers.
-struct TraceSplit {
-  double compute = 1.0, memory = 0.0, launch_transfer = 0.0;
-};
-
-TraceSplit trace_split(const obs::TraceBuffer& buf) {
-  TraceSplit f;
-  double comp = 0.0, mem = 0.0, lx = 0.0;
-  const double overhead = buf.launch_overhead();
-  for (const auto& e : buf.snapshot()) {
-    if (obs::is_marker(e.kind)) continue;
-    if (e.kind == obs::TraceEvent::Kind::Kernel) {
-      const double launch = std::min(e.duration, overhead);
-      lx += launch;
-      if (e.bound == obs::TraceEvent::Bound::Compute) {
-        comp += e.duration - launch;
-      } else {
-        mem += e.duration - launch;
-      }
-    } else {
-      lx += e.duration;
-    }
-  }
-  const double tot = comp + mem + lx;
-  if (tot > 0.0) {
-    f.compute = comp / tot;
-    f.memory = mem / tot;
-    f.launch_transfer = lx / tot;
-  }
-  return f;
 }
 
 void phase_imbalance(const MergeInputs& in, Report& out) {
@@ -410,16 +346,30 @@ Report analyze(const MergeInputs& in) {
     add(Blame::CommWait, std::max(0.0, out.timeline_s - out.makespan_s));
     b.busy_s = raw_busy[r];
 
-    // Refine the rank's busy seconds through its kernel trace's roofline
-    // classification; without a trace everything stays Compute.
-    TraceSplit f;
-    if (in.rank_traces && r < in.rank_traces->size() &&
-        !(*in.rank_traces)[r].empty()) {
-      f = trace_split((*in.rank_traces)[r]);
+    // Refine the rank's busy seconds by the roofline fractions of its
+    // kernel trace; without one everything stays Compute.
+    double comp = 0.0, mem = 0.0, lx = 0.0;
+    if (in.rank_traces && r < in.rank_traces->size()) {
+      const obs::TraceBuffer& buf = (*in.rank_traces)[r];
+      for (const auto& e : buf.snapshot()) {
+        if (obs::is_marker(e.kind)) continue;
+        const prof::Roofline split = prof::roofline(e, buf.launch_overhead());
+        comp += split.compute;
+        mem += split.memory;
+        lx += split.launch + split.transfer;
+      }
     }
-    add(Blame::Compute, raw_busy[r] * f.compute);
-    add(Blame::Memory, raw_busy[r] * f.memory);
-    add(Blame::LaunchTransfer, raw_busy[r] * f.launch_transfer);
+    const double tot = comp + mem + lx;
+    if (tot > 0.0) {
+      comp /= tot;
+      mem /= tot;
+      lx /= tot;
+    } else {
+      comp = 1.0;
+    }
+    add(Blame::Compute, raw_busy[r] * comp);
+    add(Blame::Memory, raw_busy[r] * mem);
+    add(Blame::LaunchTransfer, raw_busy[r] * lx);
   }
 
   // Fleet view: across-rank mean of every bucket.

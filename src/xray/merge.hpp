@@ -30,6 +30,7 @@
 
 #include "net/reprice.hpp"
 #include "obs/trace.hpp"
+#include "prof/path.hpp"
 
 namespace coe::xray {
 
@@ -61,20 +62,6 @@ enum class Blame : std::uint8_t {
 };
 
 const char* to_string(Blame b);
-
-/// One step of the distributed critical path, earliest-first. `event`
-/// indexes Report::replay.events; [start_s, end_s] is the slice of the
-/// makespan this step accounts for (consecutive slices abut, so they sum
-/// to the makespan).
-struct CritStep {
-  std::size_t event = 0;
-  int rank = 0;
-  EdgeKind via = EdgeKind::Root;
-  double start_s = 0.0;
-  double end_s = 0.0;
-
-  double seconds() const { return end_s - start_s; }
-};
 
 /// Per-rank five-way decomposition of the run's timeline. The five
 /// seconds[] entries sum to the report's timeline_s for every rank, so
@@ -110,8 +97,10 @@ struct PhaseImbalance {
   std::vector<double> per_rank_s;
 };
 
-/// The merged cluster-wide view of one run.
-struct Report {
+/// The merged cluster-wide view of one run. The inherited critical path
+/// indexes replay.events, its lanes are ranks, and each step's
+/// [start_s, end_s] slice abuts the next so the path tiles [0, makespan_s].
+struct Report : prof::CriticalPath<EdgeKind> {
   int ranks = 0;
   /// True only when the replay completed without diagnostics: no blocked
   /// receives, no unmatched sends, no out-of-range ranks, no mismatched
@@ -125,11 +114,6 @@ struct Report {
   double timeline_s = 0.0;   ///< reprice timeline (bisection-floored)
   std::size_t matched_messages = 0;
   std::size_t unmatched_sends = 0;
-
-  std::vector<CritStep> critical_path;  ///< earliest-first, tiles [0, M]
-  double critical_s = 0.0;
-  double coverage = 0.0;  ///< critical_s / makespan_s (1.0 when tiled)
-  double edge_seconds[6] = {0, 0, 0, 0, 0, 0};  ///< by EdgeKind
 
   std::vector<RankBlame> blame;  ///< per rank; each totals timeline_s
   RankBlame fleet;               ///< across-rank mean (rank = -1)

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"
+#include "prof/report.hpp"
 
 namespace coe::xray {
 
@@ -111,18 +112,7 @@ std::string straggler_report(const Report& rep, const std::string& title) {
   os << "  distributed critical path: " << rep.critical_s << " s ("
      << std::fixed << std::setprecision(2) << 100.0 * rep.coverage
      << "% of makespan, " << rep.critical_path.size() << " steps)\n";
-  os << "  critical path enters via:\n";
-  for (std::size_t i = 0; i < 6; ++i) {
-    if (rep.edge_seconds[i] <= 0.0) continue;
-    os << "    " << std::left << std::setw(12)
-       << to_string(static_cast<EdgeKind>(i)) << std::right << std::setw(12)
-       << std::scientific << std::setprecision(3) << rep.edge_seconds[i]
-       << " s  (" << std::fixed << std::setprecision(1)
-       << (rep.critical_s > 0.0
-               ? 100.0 * rep.edge_seconds[i] / rep.critical_s
-               : 0.0)
-       << "%)\n";
-  }
+  prof::write_edge_table(os, rep);
 
   os << "  imbalance: max/mean busy " << std::fixed << std::setprecision(2)
      << rep.imbalance_ratio << "x";
@@ -209,12 +199,7 @@ obs::Json report_json(const Report& rep, const std::string& name) {
   j.set("critical_steps",
         obs::Json::number(static_cast<double>(rep.critical_path.size())));
 
-  obs::Json edges = obs::Json::object();
-  for (std::size_t i = 0; i < 6; ++i) {
-    edges.set(to_string(static_cast<EdgeKind>(i)),
-              obs::Json::number(rep.edge_seconds[i]));
-  }
-  j.set("critical_edge_seconds", std::move(edges));
+  j.set("critical_edge_seconds", prof::edge_seconds_json(rep));
 
   // The full path can run to thousands of steps on a long run; the
   // document keeps a bounded prefix (earliest-first) and says so.
@@ -222,10 +207,10 @@ obs::Json report_json(const Report& rep, const std::string& name) {
   obs::Json steps = obs::Json::array();
   for (std::size_t i = 0; i < rep.critical_path.size() && i < kMaxSteps;
        ++i) {
-    const CritStep& s = rep.critical_path[i];
+    const auto& s = rep.critical_path[i];
     const net::NetEvent& e = rep.replay.events[s.event].ev;
     obs::Json js = obs::Json::object();
-    js.set("rank", obs::Json::number(s.rank));
+    js.set("rank", obs::Json::number(s.lane));
     js.set("via", obs::Json::string(to_string(s.via)));
     js.set("kind", obs::Json::string(kind_name(e.kind)));
     js.set("peer", obs::Json::number(e.peer));
@@ -348,14 +333,11 @@ void write_merged_chrome_trace(
       continue;
     }
     sep();
-    os << "{\"name\":\"msg\",\"cat\":\"xray_msg\",\"ph\":\"s\",\"id\":"
-       << flow << ",\"ts\":" << obs::Json::number(snd.wire_start * 1e6).dump()
-       << ",\"pid\":" << snd.ev.rank << ",\"tid\":" << kNetTid << "},"
-       << "{\"name\":\"msg\",\"cat\":\"xray_msg\",\"ph\":\"f\",\"bp\":\"e\","
-       << "\"id\":" << flow << ",\"ts\":"
-       << obs::Json::number(re.done * 1e6).dump() << ",\"pid\":" << re.ev.rank
-       << ",\"tid\":" << kNetTid << "}";
-    ++flow;
+    const auto pair =
+        prof::flow_pair("msg", "xray_msg", flow++,
+                        {snd.wire_start, snd.ev.rank, kNetTid},
+                        {re.done, re.ev.rank, kNetTid});
+    os << pair[0] << "," << pair[1];
   }
 
   // Per-rank kernels/transfers, mapped from rank-local simulated time onto

@@ -19,6 +19,7 @@
 #include "net/net.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "prof/dag.hpp"
 #include "stencil/distributed.hpp"
 #include "xray/xray.hpp"
 
@@ -121,16 +122,16 @@ TEST(Xray, SerialChainExactCriticalPath) {
   // Exact step structure: r0 compute (root), r0 send, r1 recv via the
   // message edge, r1 compute.
   ASSERT_EQ(rep.critical_path.size(), 4u);
-  EXPECT_EQ(rep.critical_path[0].rank, 0);
+  EXPECT_EQ(rep.critical_path[0].lane, 0);
   EXPECT_EQ(rep.critical_path[0].via, xray::EdgeKind::Root);
   EXPECT_NEAR(rep.critical_path[0].end_s, a, 1e-15);
-  EXPECT_EQ(rep.critical_path[1].rank, 0);
+  EXPECT_EQ(rep.critical_path[1].lane, 0);
   EXPECT_EQ(rep.critical_path[1].via, xray::EdgeKind::Program);
   EXPECT_NEAR(rep.critical_path[1].end_s, a + alpha + w, 1e-15);
-  EXPECT_EQ(rep.critical_path[2].rank, 1);
+  EXPECT_EQ(rep.critical_path[2].lane, 1);
   EXPECT_EQ(rep.critical_path[2].via, xray::EdgeKind::Message);
   EXPECT_NEAR(rep.critical_path[2].end_s, a + alpha + 2 * w, 1e-15);
-  EXPECT_EQ(rep.critical_path[3].rank, 1);
+  EXPECT_EQ(rep.critical_path[3].lane, 1);
   EXPECT_EQ(rep.critical_path[3].via, xray::EdgeKind::Program);
 
   // Blame: r1's wait on the message is comm-wait, not compute.
@@ -167,7 +168,7 @@ TEST(Xray, ForkJoinCollectiveBlamesLastArriver) {
   expect_blame_tiles(rep);
 
   ASSERT_EQ(rep.critical_path.size(), 2u);
-  EXPECT_EQ(rep.critical_path[0].rank, 3);
+  EXPECT_EQ(rep.critical_path[0].lane, 3);
   EXPECT_EQ(rep.critical_path[0].via, xray::EdgeKind::Root);
   EXPECT_NEAR(rep.critical_path[0].end_s, entry, 1e-15);
   EXPECT_EQ(rep.critical_path[1].via, xray::EdgeKind::Collective);
@@ -391,6 +392,45 @@ TEST(Xray, SkewedWaveFindsStragglerAndBlamesNeighborsOnCommWait) {
     }
   }
   EXPECT_TRUE(saw_stencil);
+}
+
+TEST(Xray, OneRankViewsAgree) {
+  // On one rank the two critical-path views see the same run: prof walks
+  // the rank's stream timeline, xray the replayed program clock. The
+  // rank's critical path must equal the Compute seconds on the
+  // distributed one, and each path must tile its window.
+  const auto cl = hsim::clusters::sierra(1);
+  net::NetLog log;
+  stencil::DistributedWaveConfig cfg;
+  cfg.nx = 16;
+  cfg.ny = 8;
+  cfg.nz = 8;
+  cfg.steps = 3;
+  cfg.cluster = &cl;
+  cfg.log = &log;
+  cfg.trace_ranks = true;
+  auto u0 = [](double x, double y, double z) {
+    return std::sin(3.14159 * x) * std::sin(3.14159 * y) *
+           std::sin(3.14159 * z);
+  };
+  const auto res = distributed_wave_run(1, cfg, u0);
+  ASSERT_EQ(res.rank_traces.size(), 1u);
+
+  const prof::DagProfile dag = prof::analyze(res.rank_traces[0]);
+  const auto rep = analyze(log, cl, 1, &res.rank_traces);
+  ASSERT_TRUE(rep.well_formed)
+      << (rep.diagnostics.empty() ? "?" : rep.diagnostics.front());
+  double compute_s = 0.0;
+  for (const auto& step : rep.critical_path) {
+    if (rep.replay.events[step.event].ev.kind ==
+        net::NetEvent::Kind::Compute) {
+      compute_s += step.seconds;
+    }
+  }
+  EXPECT_GT(dag.critical_s, 0.0);
+  EXPECT_NEAR(compute_s, dag.critical_s, 1e-9 * dag.critical_s);
+  EXPECT_GE(dag.coverage, 1.0 - 1e-9);
+  EXPECT_GE(rep.coverage, 1.0 - 1e-9);
 }
 
 TEST(Xray, ReplicatedMdMergesCollectiveTraffic) {

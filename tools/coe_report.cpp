@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -278,6 +279,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   bool ok = true;
-  for (const auto& f : files) ok = report_one(f, opt) && ok;
+  for (const auto& f : files) {
+    // A malformed artifact (a field of the wrong type, say) fails its own
+    // file only; the remaining files are still reported and gated.
+    try {
+      ok = report_one(f, opt) && ok;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "coe_report: %s: %s\n", f.c_str(), e.what());
+      ok = false;
+    }
+  }
   return ok ? 0 : 1;
 }

@@ -51,124 +51,133 @@ void check_metrics_section(const Json& metrics, const char* key) {
   }
 }
 
-/// The mem.* metrics family DeviceArena::publish emits (DESIGN.md
-/// section 14) is a fixed schema: unknown mem.* keys are typos the bench
-/// diff would silently drop, so they fail here. Cross-key invariants
-/// (spill requires evictions, residency within capacity) are checked too.
-void check_mem_metrics(const Json& metrics) {
-  static const std::vector<std::string> counters = {
-      "mem.admits",          "mem.evictions",     "mem.spill_bytes",
-      "mem.faults",          "mem.fault_bytes",   "mem.uploads",
-      "mem.upload_bytes",    "mem.writebacks",    "mem.writeback_bytes",
-      "mem.elided_transfers", "mem.elided_bytes", "mem.pool_reuse"};
-  static const std::vector<std::string> gauges = {
-      "mem.resident_bytes", "mem.resident_highwater", "mem.capacity_bytes",
-      "mem.allocations", "mem.pool_highwater_bytes"};
+/// One metrics family's fixed schema. Every key under `prefix` in a
+/// scanned section must be whitelisted, as a whole key or (for `by_leaf`
+/// families, which nest sweep keys under arbitrary prefixes) by its last
+/// dotted component, and hold a number at or above its floor: 0 unless
+/// `floors` says otherwise. Unknown keys are typos the bench diff would
+/// silently drop, so they fail. A family scans only the sections whose
+/// whitelist is non-empty.
+struct Family {
+  std::string prefix;
+  bool by_leaf = false;
+  std::vector<std::string> counters;  ///< allowed in metrics.counters
+  std::vector<std::string> gauges;    ///< allowed in metrics.gauges
+  std::map<std::string, double> floors;
+};
 
-  auto scan = [&](const char* section, const std::vector<std::string>& known) {
-    double out_evictions = -1.0, out_spill = -1.0;
-    double out_resident = -1.0, out_capacity = -1.0;
-    if (!metrics.contains(section) ||
-        metrics.at(section).type() != Json::Type::Object) {
-      return std::pair(out_evictions, out_spill);
+/// The keys of one family in one section that hold numbers, by value.
+using Scanned = std::map<std::string, double>;
+
+double value_or(const Scanned& s, const std::string& key, double absent) {
+  const auto it = s.find(key);
+  return it == s.end() ? absent : it->second;
+}
+
+/// The scan every family shares: prefix filter, whitelist, number type,
+/// floor. Returns what passed the type check for the family's cross-key
+/// invariants.
+Scanned scan_family(const Json& metrics, const std::string& section,
+                    const Family& f) {
+  Scanned got;
+  const auto& known = section == "counters" ? f.counters : f.gauges;
+  if (known.empty() || !metrics.contains(section) ||
+      metrics.at(section).type() != Json::Type::Object) {
+    return got;
+  }
+  for (const auto& [key, v] : metrics.at(section).fields()) {
+    if (key.rfind(f.prefix, 0) != 0) continue;
+    const std::string name =
+        f.by_leaf ? key.substr(key.rfind('.') + 1) : key;
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      fail("metrics." + section + " has unknown " + f.prefix + "* " +
+           (f.by_leaf ? "leaf" : "key") + " \"" + key + "\"");
+      continue;
     }
-    for (const auto& [key, v] : metrics.at(section).fields()) {
-      if (key.rfind("mem.", 0) != 0) continue;
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
-        fail("metrics." + std::string(section) + " has unknown mem.* key \"" +
-             key + "\"");
-        continue;
-      }
-      if (v.type() != Json::Type::Number) {
-        fail("metrics." + std::string(section) + "." + key +
-             " is not a number");
-        continue;
-      }
-      const double x = v.as_number();
-      if (x < 0.0) fail(key + " is negative");
-      if (key == "mem.evictions") out_evictions = x;
-      if (key == "mem.spill_bytes") out_spill = x;
-      if (key == "mem.resident_bytes") out_resident = x;
-      if (key == "mem.capacity_bytes") out_capacity = x;
+    if (v.type() != Json::Type::Number) {
+      fail("metrics." + section + "." + key + " is not a number");
+      continue;
     }
-    if (out_resident >= 0.0 && out_capacity > 0.0 &&
-        out_resident > out_capacity) {
-      fail("mem.resident_bytes exceeds mem.capacity_bytes");
+    const double x = v.as_number();
+    const auto floor = f.floors.find(key);
+    if (floor == f.floors.end() && x < 0.0) fail(key + " is negative");
+    if (floor != f.floors.end() && x < floor->second) {
+      fail(key + " is below " + Json::number(floor->second).dump());
     }
-    return std::pair(out_evictions, out_spill);
-  };
-  const auto [evictions, spill] = scan("counters", counters);
-  scan("gauges", gauges);
-  if (evictions == 0.0 && spill > 0.0) {
+    got[key] = x;
+  }
+  return got;
+}
+
+/// mem.* (DeviceArena::publish, DESIGN.md section 14): spill requires
+/// evictions, and residency stays within capacity.
+void check_mem_metrics(const Json& metrics) {
+  static const Family mem{
+      "mem.",
+      false,
+      {"mem.admits", "mem.evictions", "mem.spill_bytes", "mem.faults",
+       "mem.fault_bytes", "mem.uploads", "mem.upload_bytes", "mem.writebacks",
+       "mem.writeback_bytes", "mem.elided_transfers", "mem.elided_bytes",
+       "mem.pool_reuse"},
+      {"mem.resident_bytes", "mem.resident_highwater", "mem.capacity_bytes",
+       "mem.allocations", "mem.pool_highwater_bytes"},
+      {}};
+  const Scanned c = scan_family(metrics, "counters", mem);
+  const Scanned g = scan_family(metrics, "gauges", mem);
+  const double resident = value_or(g, "mem.resident_bytes", -1.0);
+  const double capacity = value_or(g, "mem.capacity_bytes", -1.0);
+  if (resident >= 0.0 && capacity > 0.0 && resident > capacity) {
+    fail("mem.resident_bytes exceeds mem.capacity_bytes");
+  }
+  if (value_or(c, "mem.evictions", -1.0) == 0.0 &&
+      value_or(c, "mem.spill_bytes", -1.0) > 0.0) {
     fail("mem.spill_bytes > 0 with mem.evictions == 0");
   }
 }
 
-/// The net.* metrics family (DESIGN.md section 15) nests sweep keys under
-/// arbitrary prefixes (net.allreduce.p64.rd.messages, net.headline.*), so
-/// the pinned schema is the LEAF name: every net.* key must end in a known
-/// quantity, hold a non-negative number, and per prefix the repriced
-/// timeline can never exceed the sequentialized bound it replaces, nor can
-/// a prefix report messages without bytes (or vice versa) when both exist.
+/// net.* (DESIGN.md section 15) pins leaf names, since sweep keys nest
+/// under arbitrary prefixes (net.allreduce.p64.rd.messages). Per prefix,
+/// the repriced timeline can never exceed the sequentialized bound it
+/// replaces, nor can a prefix report messages without bytes (or vice
+/// versa) when both exist; `bitwise` is a 0/1 flag.
 void check_net_metrics(const Json& metrics) {
   static const std::vector<std::string> leaves = {
       "messages",   "bytes",           "reductions",
       "timeline_s", "sequential_s",    "comm_sequential_s",
       "compute_s",  "bisection_floor_s", "speedup",
       "schedule_speedup", "modeled_s", "bitwise"};
+  static const Family net{"net.", true, leaves, leaves, {}};
   for (const char* section : {"counters", "gauges"}) {
-    if (!metrics.contains(section) ||
-        metrics.at(section).type() != Json::Type::Object) {
-      continue;
-    }
-    // prefix -> (timeline, sequential, messages, bytes); -1 = absent.
-    struct NetGroup {
-      double timeline = -1.0, sequential = -1.0;
-      double messages = -1.0, bytes = -1.0;
-    };
-    std::map<std::string, NetGroup> groups;
-    for (const auto& [key, v] : metrics.at(section).fields()) {
-      if (key.rfind("net.", 0) != 0) continue;
+    // prefix -> its scanned leaves
+    std::map<std::string, Scanned> groups;
+    for (const auto& [key, x] : scan_family(metrics, section, net)) {
       const auto dot = key.rfind('.');
       const std::string leaf = key.substr(dot + 1);
-      const std::string prefix = key.substr(0, dot);
-      if (std::find(leaves.begin(), leaves.end(), leaf) == leaves.end()) {
-        fail("metrics." + std::string(section) + " has unknown net.* leaf \"" +
-             key + "\"");
-        continue;
-      }
-      if (v.type() != Json::Type::Number) {
-        fail("metrics." + std::string(section) + "." + key +
-             " is not a number");
-        continue;
-      }
-      const double x = v.as_number();
-      if (x < 0.0) fail(key + " is negative");
       if (leaf == "bitwise" && x != 0.0 && x != 1.0) {
         fail(key + " is not a 0/1 flag");
       }
-      if (leaf == "timeline_s") groups[prefix].timeline = x;
-      if (leaf == "sequential_s") groups[prefix].sequential = x;
-      if (leaf == "messages") groups[prefix].messages = x;
-      if (leaf == "bytes") groups[prefix].bytes = x;
+      groups[key.substr(0, dot)][leaf] = x;
     }
     for (const auto& [prefix, g] : groups) {
-      if (g.timeline >= 0.0 && g.sequential >= 0.0 &&
-          g.timeline > g.sequential * (1.0 + 1e-9)) {
+      const double timeline = value_or(g, "timeline_s", -1.0);
+      const double sequential = value_or(g, "sequential_s", -1.0);
+      const double messages = value_or(g, "messages", -1.0);
+      const double bytes = value_or(g, "bytes", -1.0);
+      if (timeline >= 0.0 && sequential >= 0.0 &&
+          timeline > sequential * (1.0 + 1e-9)) {
         fail(prefix + ".timeline_s exceeds " + prefix + ".sequential_s");
       }
-      if (g.messages >= 0.0 && g.bytes >= 0.0 &&
-          (g.messages > 0.0) != (g.bytes > 0.0)) {
+      if (messages >= 0.0 && bytes >= 0.0 &&
+          (messages > 0.0) != (bytes > 0.0)) {
         fail(prefix + ": messages and bytes disagree about traffic");
       }
     }
   }
 }
 
-/// The resil.* metrics family (PR 1 + the store-integrity counters): fixed
-/// flat schema, every value a non-negative number. The integrity invariant
-/// is directional: a fallback restore can only happen after a generation
-/// was refused, so crc_fallbacks can never exceed refused_generations.
+/// resil.* (run_resilient + the store-integrity counters). A fallback
+/// restore can only happen after a generation was refused, so
+/// crc_fallbacks can never exceed refused_generations.
 void check_resil_metrics(const Json& metrics) {
   static const std::vector<std::string> known = {
       "resil.faults",          "resil.checkpoints",
@@ -178,39 +187,20 @@ void check_resil_metrics(const Json& metrics) {
       "resil.rollbacks",       "resil.escapes",
       "resil.checkpoint_aborts", "resil.verify_s",
       "resil.refused_generations", "resil.crc_fallbacks"};
+  static const Family resil{"resil.", false, known, known, {}};
   for (const char* section : {"counters", "gauges"}) {
-    if (!metrics.contains(section) ||
-        metrics.at(section).type() != Json::Type::Object) {
-      continue;
-    }
-    double refused = -1.0, fallbacks = -1.0;
-    for (const auto& [key, v] : metrics.at(section).fields()) {
-      if (key.rfind("resil.", 0) != 0) continue;
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
-        fail("metrics." + std::string(section) +
-             " has unknown resil.* key \"" + key + "\"");
-        continue;
-      }
-      if (v.type() != Json::Type::Number) {
-        fail("metrics." + std::string(section) + "." + key +
-             " is not a number");
-        continue;
-      }
-      const double x = v.as_number();
-      if (x < 0.0) fail(key + " is negative");
-      if (key == "resil.refused_generations") refused = x;
-      if (key == "resil.crc_fallbacks") fallbacks = x;
-    }
+    const Scanned got = scan_family(metrics, section, resil);
+    const double refused = value_or(got, "resil.refused_generations", -1.0);
+    const double fallbacks = value_or(got, "resil.crc_fallbacks", -1.0);
     if (fallbacks >= 0.0 && fallbacks > std::max(refused, 0.0)) {
       fail("resil.crc_fallbacks exceeds resil.refused_generations");
     }
   }
 }
 
-/// The phoenix.* metrics family (DESIGN.md §17): fixed flat schema plus
-/// the recovery invariants — a repair needs a detection, an adoption or
-/// retirement needs a repair, buddy/bootstrap message and byte counters
-/// must agree about whether traffic happened.
+/// phoenix.* (DESIGN.md §17): a repair needs a detection, an adoption or
+/// retirement needs a repair, and buddy/bootstrap message and byte
+/// counters must agree about whether traffic happened.
 void check_phoenix_metrics(const Json& metrics) {
   static const std::vector<std::string> known = {
       "phoenix.kills",          "phoenix.detections",
@@ -221,32 +211,10 @@ void check_phoenix_metrics(const Json& metrics) {
       "phoenix.buddy_msgs",     "phoenix.buddy_bytes",
       "phoenix.shipped_msgs",   "phoenix.shipped_bytes",
       "phoenix.repair_s",       "phoenix.lost_work_s"};
+  static const Family phoenix{"phoenix.", false, known, known, {}};
   for (const char* section : {"counters", "gauges"}) {
-    if (!metrics.contains(section) ||
-        metrics.at(section).type() != Json::Type::Object) {
-      continue;
-    }
-    std::map<std::string, double> got;
-    for (const auto& [key, v] : metrics.at(section).fields()) {
-      if (key.rfind("phoenix.", 0) != 0) continue;
-      if (std::find(known.begin(), known.end(), key) == known.end()) {
-        fail("metrics." + std::string(section) +
-             " has unknown phoenix.* key \"" + key + "\"");
-        continue;
-      }
-      if (v.type() != Json::Type::Number) {
-        fail("metrics." + std::string(section) + "." + key +
-             " is not a number");
-        continue;
-      }
-      const double x = v.as_number();
-      if (x < 0.0) fail(key + " is negative");
-      got[key] = x;
-    }
-    auto val = [&got](const char* k) {
-      auto it = got.find(k);
-      return it == got.end() ? -1.0 : it->second;
-    };
+    const Scanned got = scan_family(metrics, section, phoenix);
+    auto val = [&got](const std::string& k) { return value_or(got, k, -1.0); };
     const double repairs = val("phoenix.repairs");
     const double detections = val("phoenix.detections");
     if (repairs > 0.0 && detections == 0.0) {
@@ -257,12 +225,11 @@ void check_phoenix_metrics(const Json& metrics) {
     if (changes > 0.0 && repairs == 0.0) {
       fail("phoenix membership changed with phoenix.repairs == 0");
     }
-    for (const char* pair : {"buddy", "shipped"}) {
-      const double msgs = val(("phoenix." + std::string(pair) + "_msgs").c_str());
-      const double bytes =
-          val(("phoenix." + std::string(pair) + "_bytes").c_str());
+    for (const std::string pair : {"buddy", "shipped"}) {
+      const double msgs = val("phoenix." + pair + "_msgs");
+      const double bytes = val("phoenix." + pair + "_bytes");
       if (msgs >= 0.0 && bytes >= 0.0 && (msgs > 0.0) != (bytes > 0.0)) {
-        fail("phoenix." + std::string(pair) +
+        fail("phoenix." + pair +
              " message and byte counters disagree about traffic");
       }
     }
@@ -438,51 +405,35 @@ void check_xray(const Json& root) {
   }
 }
 
-/// The xray.* gauges xray::publish emits are a fixed schema like mem.*:
-/// unknown keys fail, the blame percentages must sum to 100 when any are
-/// present, and coverage/ratio obey the same bounds as the document.
+/// xray.* (xray::publish): gauges only. straggler_rank may be -1 (no
+/// compute anywhere); the blame percentages must sum to 100 when all five
+/// are present, and coverage/ratio/well_formed obey the same bounds as the
+/// document.
 void check_xray_metrics(const Json& metrics) {
-  static const std::vector<std::string> known = {
-      "xray.ranks",           "xray.well_formed",
-      "xray.messages",        "xray.matched",
-      "xray.unmatched_sends", "xray.makespan_s",
-      "xray.timeline_s",      "xray.critical_s",
-      "xray.coverage",        "xray.imbalance_ratio",
-      "xray.straggler_rank",  "xray.straggler_share",
-      "xray.blame.compute_pct",
-      "xray.blame.memory_pct",
-      "xray.blame.launch_transfer_pct",
-      "xray.blame.comm_wait_pct",
-      "xray.blame.imbalance_pct"};
-  if (!metrics.contains("gauges") ||
-      metrics.at("gauges").type() != Json::Type::Object) {
-    return;
+  static const Family xray{
+      "xray.",
+      false,
+      {},
+      {"xray.ranks", "xray.well_formed", "xray.messages", "xray.matched",
+       "xray.unmatched_sends", "xray.makespan_s", "xray.timeline_s",
+       "xray.critical_s", "xray.coverage", "xray.imbalance_ratio",
+       "xray.straggler_rank", "xray.straggler_share",
+       "xray.blame.compute_pct", "xray.blame.memory_pct",
+       "xray.blame.launch_transfer_pct", "xray.blame.comm_wait_pct",
+       "xray.blame.imbalance_pct"},
+      {{"xray.straggler_rank", -1.0}}};
+  const Scanned got = scan_family(metrics, "gauges", xray);
+  if (value_or(got, "xray.coverage", 0.0) > 1.0 + 1e-6) {
+    fail("xray.coverage exceeds 1");
   }
+  if (value_or(got, "xray.imbalance_ratio", 1.0) < 1.0 - 1e-9) {
+    fail("xray.imbalance_ratio below 1");
+  }
+  const double wf = value_or(got, "xray.well_formed", 0.0);
+  if (wf != 0.0 && wf != 1.0) fail("xray.well_formed is not a 0/1 flag");
   double blame_sum = 0.0;
   int blame_keys = 0;
-  for (const auto& [key, v] : metrics.at("gauges").fields()) {
-    if (key.rfind("xray.", 0) != 0) continue;
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      fail("metrics.gauges has unknown xray.* key \"" + key + "\"");
-      continue;
-    }
-    if (v.type() != Json::Type::Number) {
-      fail("metrics.gauges." + key + " is not a number");
-      continue;
-    }
-    const double x = v.as_number();
-    // straggler_rank may be -1 (no compute anywhere); everything else is
-    // non-negative.
-    if (x < 0.0 && key != "xray.straggler_rank") fail(key + " is negative");
-    if (key == "xray.coverage" && x > 1.0 + 1e-6) {
-      fail("xray.coverage exceeds 1");
-    }
-    if (key == "xray.imbalance_ratio" && x < 1.0 - 1e-9) {
-      fail("xray.imbalance_ratio below 1");
-    }
-    if (key == "xray.well_formed" && x != 0.0 && x != 1.0) {
-      fail("xray.well_formed is not a 0/1 flag");
-    }
+  for (const auto& [key, x] : got) {
     if (key.rfind("xray.blame.", 0) == 0) {
       blame_sum += x;
       ++blame_keys;
