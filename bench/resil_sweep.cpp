@@ -161,6 +161,9 @@ COE_BENCH_MAIN(resil_sweep) {
     std::vector<double> x_true(cgn), b(cgn);
     for (auto& v : x_true) v = rng.uniform(-1.0, 1.0);
     la::JacobiPreconditioner prec(a);
+    // Zero tolerance: every step runs the full CG iteration.
+    la::SolveOptions every_step;
+    every_step.rel_tol = 0.0;
 
     // Clean reference: iterate sequence and simulated time with no
     // injection and no detection machinery.
@@ -168,7 +171,8 @@ COE_BENCH_MAIN(resil_sweep) {
     la::CsrOperator plain_ref(a);
     std::vector<double> x_ref(cgn, 0.0);
     a.spmv(ctx_ref, x_true, b);
-    la::CgStepper cg_ref(ctx_ref, plain_ref, prec, b, x_ref);
+    la::Pcg cg_ref(ctx_ref, plain_ref, prec, b, x_ref, every_step);
+    cg_ref.start();
     for (std::size_t st = 0; st < cg_steps; ++st) cg_ref.step();
     const double t_clean = ctx_ref.simulated_time();
     const double ref_norm = la::norm2(ctx_ref, x_ref);
@@ -206,7 +210,8 @@ COE_BENCH_MAIN(resil_sweep) {
         auto am = a;  // private matrix copy: flips target it too
         la::CsrOperator op(am);
         std::vector<double> x(cgn, 0.0);
-        la::CgStepper cg(ctx, op, prec, b, x);
+        la::Pcg cg(ctx, op, prec, b, x, every_step);
+        cg.start();
         guard::SdcConfig c = sdc;
         c.seed = sdc_seed;
         guard::SdcInjector inj(c);
@@ -229,7 +234,8 @@ COE_BENCH_MAIN(resil_sweep) {
         auto am = a;
         la::AbftCsrOperator op(am);
         std::vector<double> x(cgn, 0.0);
-        la::CgStepper cg(ctx, op, prec, b, x);
+        la::Pcg cg(ctx, op, prec, b, x, every_step);
+        cg.start();
         guard::SdcConfig c = sdc;
         c.seed = sdc_seed;
         guard::SdcInjector inj(c);
@@ -261,7 +267,8 @@ COE_BENCH_MAIN(resil_sweep) {
         auto am = a;
         la::AbftCsrOperator op(am);
         std::vector<double> x(cgn, 0.0);
-        la::CgStepper cg(ctx, op, prec, b, x);
+        la::Pcg cg(ctx, op, prec, b, x, every_step);
+        cg.start();
         guard::SdcConfig c = sdc;
         c.seed = sdc_seed;
         guard::SdcInjector inj(c);

@@ -1,6 +1,5 @@
 #include "la/abft.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "la/vector_ops.hpp"
@@ -27,79 +26,6 @@ void AbftCsrOperator::apply(core::ExecContext& ctx, std::span<const double> x,
   const double floor = 1e-300;
   last_rel_err_ = err / (scale + std::abs(sy) + floor);
   if (!(last_rel_err_ <= rel_tol_)) ++trips_;  // NaN/Inf trips too
-}
-
-CgStepper::CgStepper(core::ExecContext& ctx, const Operator& a,
-                     const Preconditioner& m, std::span<const double> b,
-                     std::span<double> x)
-    : ctx_(&ctx), a_(&a), m_(&m), b_(b), x_(x) {
-  const std::size_t n = a.rows();
-  r_.resize(n);
-  z_.resize(n);
-  p_.resize(n);
-  ap_.resize(n);
-  a_->apply(*ctx_, x_, ap_);
-  axpby(*ctx_, 1.0, b_, -1.0, ap_, r_);
-  m_->apply(*ctx_, r_, z_);
-  copy(*ctx_, z_, p_);
-  rz_ = dot(*ctx_, r_, z_);
-  rnorm_ = norm2(*ctx_, r_);
-}
-
-void CgStepper::step() {
-  if (done_) return;
-  a_->apply(*ctx_, p_, ap_);
-  const double pap = dot(*ctx_, p_, ap_);
-  if (pap == 0.0) {
-    done_ = true;
-    return;
-  }
-  const double alpha = rz_ / pap;
-  axpy(*ctx_, alpha, p_, x_);
-  axpy(*ctx_, -alpha, ap_, r_);
-  rnorm_ = norm2(*ctx_, r_);
-  m_->apply(*ctx_, r_, z_);
-  const double rz_new = dot(*ctx_, r_, z_);
-  const double beta = rz_new / rz_;
-  rz_ = rz_new;
-  xpby(*ctx_, z_, beta, p_);
-  ++it_;
-}
-
-std::vector<std::pair<std::string, std::span<double>>>
-CgStepper::sdc_targets() {
-  return {{"cg.x", x_},
-          {"cg.r", std::span<double>(r_)},
-          {"cg.z", std::span<double>(z_)},
-          {"cg.p", std::span<double>(p_)}};
-}
-
-void CgStepper::save_state(std::vector<double>& out) const {
-  out.clear();
-  out.push_back(rz_);
-  out.push_back(rnorm_);
-  out.push_back(static_cast<double>(it_));
-  out.push_back(done_ ? 1.0 : 0.0);
-  out.insert(out.end(), x_.begin(), x_.end());
-  out.insert(out.end(), r_.begin(), r_.end());
-  out.insert(out.end(), z_.begin(), z_.end());
-  out.insert(out.end(), p_.begin(), p_.end());
-}
-
-void CgStepper::restore_state(const std::vector<double>& in) {
-  const double* c = in.data();
-  rz_ = *c++;
-  rnorm_ = *c++;
-  it_ = static_cast<std::size_t>(*c++);
-  done_ = *c++ != 0.0;
-  const std::size_t n = r_.size();
-  std::copy(c, c + n, x_.begin());
-  c += n;
-  std::copy(c, c + n, r_.begin());
-  c += n;
-  std::copy(c, c + n, z_.begin());
-  c += n;
-  std::copy(c, c + n, p_.begin());
 }
 
 }  // namespace coe::la

@@ -15,10 +15,9 @@
 // low-mantissa corruption below the tolerance escapes (that residual
 // escape rate is exactly what the guard benches measure).
 //
-// CgStepper complements it: one preconditioned-CG iteration at a time with
-// the Krylov recursion state checkpointable, so a linear solve can run
-// under resil::run_resilient with SDC injection, detectors, and
-// rollback-and-recompute like any other app driver.
+// The checkpointable CG it guards is la::Pcg (la/krylov.hpp), stepped with
+// zero tolerance under resil::run_resilient with SDC injection, detectors,
+// and rollback-and-recompute like any other app driver.
 
 #include <cstddef>
 #include <span>
@@ -26,7 +25,6 @@
 
 #include "la/csr.hpp"
 #include "la/operator.hpp"
-#include "resil/checkpoint.hpp"
 
 namespace coe::la {
 
@@ -61,47 +59,6 @@ class AbftCsrOperator final : public Operator {
   mutable std::size_t checks_ = 0;
   mutable std::size_t trips_ = 0;
   mutable double last_rel_err_ = 0.0;
-};
-
-/// Preconditioned CG, one iteration per step(), with the full Krylov
-/// recursion state (x, r, z, p, scalars) checkpointable — restoring and
-/// re-stepping reproduces the iterate sequence bitwise. This is the shape
-/// resil::run_resilient wants, so a solve can be guarded end to end:
-/// checkpoints, SDC targets, detectors, rollback.
-class CgStepper : public resil::Checkpointable {
- public:
-  /// `x` holds the initial guess and receives the iterate; it must outlive
-  /// the stepper. The first residual/search direction is computed here.
-  CgStepper(core::ExecContext& ctx, const Operator& a,
-            const Preconditioner& m, std::span<const double> b,
-            std::span<double> x);
-
-  /// One PCG iteration. No-op once converged-to-breakdown (pAp == 0).
-  void step();
-
-  std::size_t iteration() const { return it_; }
-  double residual() const { return rnorm_; }
-  bool broke_down() const { return done_; }
-
-  /// Live Krylov-state views for SDC targeting and checksum scrubbing.
-  std::vector<std::pair<std::string, std::span<double>>> sdc_targets();
-
-  /// Checkpointable: iterate, residual, preconditioned residual, search
-  /// direction, and the recursion scalars.
-  void save_state(std::vector<double>& out) const override;
-  void restore_state(const std::vector<double>& in) override;
-
- private:
-  core::ExecContext* ctx_;
-  const Operator* a_;
-  const Preconditioner* m_;
-  std::span<const double> b_;
-  std::span<double> x_;
-  std::vector<double> r_, z_, p_, ap_;
-  double rz_ = 0.0;
-  double rnorm_ = 0.0;
-  std::size_t it_ = 0;
-  bool done_ = false;
 };
 
 }  // namespace coe::la

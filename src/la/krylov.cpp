@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "la/vector_ops.hpp"
@@ -11,193 +12,301 @@ namespace coe::la {
 
 namespace {
 
-bool done(const SolveOptions& opts, double rnorm, double r0) {
+bool solved(const SolveOptions& opts, double rnorm, double r0) {
   return rnorm <= opts.abs_tol || rnorm <= opts.rel_tol * r0;
 }
 
 }  // namespace
 
+Pcg::Pcg(core::ExecContext& ctx, const Operator& a, const Preconditioner& m,
+         std::span<const double> b, std::span<double> x,
+         const SolveOptions& opts, std::size_t row_lo, std::size_t row_hi)
+    : ctx_(&ctx),
+      a_(&a),
+      m_(&m),
+      b_(b),
+      x_(x),
+      opts_(opts),
+      md_(m.diag()),
+      lo_(std::min({row_lo, row_hi, a.rows()})),
+      hi_(std::min(row_hi, a.rows())),
+      fuse_kernels_(opts.fused && lo_ == 0 && hi_ == a.rows()),
+      fuse_rounds_(opts.fused_reductions && opts.abft_every == 0),
+      r_(a.rows()),
+      z_(a.rows()),
+      p_(a.rows()),
+      ap_(a.rows()) {}
+
+// Declares the solver's working set to the residency arena (no-op when none
+// is attached). The matrix and vectors are re-touched every iteration, so
+// under capacity pressure the arena prices the refault traffic an
+// oversubscribed GPU would see.
+void Pcg::touch_operands() {
+  const double vb = static_cast<double>(r_.size()) * 8.0;
+  ctx_->touch_device("cg.A", a_->footprint_bytes(), core::MemAccess::Read);
+  ctx_->touch_device("cg.b", vb, core::MemAccess::Read);
+  ctx_->touch_device("cg.x", vb, core::MemAccess::Write);
+  ctx_->touch_device("cg.r", vb, core::MemAccess::Write);
+  ctx_->touch_device("cg.z", vb, core::MemAccess::Write);
+  ctx_->touch_device("cg.p", vb, core::MemAccess::Write);
+  ctx_->touch_device("cg.ap", vb, core::MemAccess::Write);
+}
+
+double Pcg::dot_rows(std::span<const double> u, std::span<const double> v) {
+  return dot(*ctx_, u.subspan(lo_, hi_ - lo_), v.subspan(lo_, hi_ - lo_));
+}
+
+bool Pcg::stage(Phase next, std::size_t at, std::size_t width) {
+  phase_ = next;
+  red_at_ = at;
+  red_width_ = width;
+  ++rounds_;
+  return true;
+}
+
+void Pcg::stage_start() {
+  touch_operands();
+  {
+    prof::Scope s(opts_.profiler, ctx_, "spmv");
+    a_->apply(*ctx_, x_, ap_);
+  }
+  {
+    prof::Scope s(opts_.profiler, ctx_, "blas1");
+    axpby(*ctx_, 1.0, b_, -1.0, ap_, r_);
+  }
+  {
+    prof::Scope s(opts_.profiler, ctx_, "precond");
+    m_->apply(*ctx_, r_, z_);
+  }
+  copy(*ctx_, z_, p_);
+  red_[0] = dot_rows(r_, z_);
+  red_[1] = dot_rows(r_, r_);
+  stage(fuse_rounds_ ? Phase::Start : Phase::StartRz, 0, fuse_rounds_ ? 2 : 1);
+}
+
+bool Pcg::advance() {
+  switch (phase_) {
+    case Phase::Idle:
+      return !done() && search();
+    case Phase::StartRz:  // r.z reduced; ||r||^2 is the second round
+      return stage(Phase::Start, 1, 1);
+    case Phase::Start:
+      rz_ = red_[0];
+      r0_ = std::sqrt(red_[1]);
+      rnorm_ = r0_;
+      phase_ = Phase::Idle;
+      if (solved(opts_, r0_, r0_) || r0_ == 0.0) status_ = Status::Converged;
+      return false;
+    case Phase::Pap:
+      return update();
+    case Phase::Rr:
+      return check();
+    case Phase::TrueResidual: {
+      // The recursion's rnorm must track the true residual.
+      const double tnorm = std::sqrt(red_[0]);
+      ++checks_;
+      const double mismatch = std::abs(tnorm - rnorm_);
+      if (!(mismatch <= opts_.abft_tol * std::max(tnorm, rnorm_))) {
+        // Adopt the recomputed residual and drop the (possibly corrupt)
+        // search direction; beta = 0 restarts the recursion.
+        ++trips_;
+        copy(*ctx_, z_, r_);
+        rnorm_ = tnorm;
+        restart_ = true;
+      }
+      span_.reset();
+      return close();
+    }
+    case Phase::Rz:
+      span_.reset();
+      rz_new_ = red_[0];
+      direction();
+      return false;
+  }
+  return false;
+}
+
+bool Pcg::search() {
+  touch_operands();
+  {
+    prof::Scope s(opts_.profiler, ctx_, "spmv");
+    a_->apply(*ctx_, p_, ap_);
+  }
+  span_.emplace(opts_.profiler, ctx_, "blas1");
+  red_[0] = dot_rows(p_, ap_);
+  return stage(Phase::Pap, 0, 1);
+}
+
+bool Pcg::update() {
+  const double pap = red_[0];
+  if (pap == 0.0) {
+    span_.reset();
+    status_ = Status::BrokeDown;
+    phase_ = Phase::Idle;
+    return false;
+  }
+  const double alpha = rz_ / pap;
+  auto& x = x_;
+  auto& r = r_;
+  auto& p = p_;
+  auto& ap = ap_;
+  if (fuse_kernels_) {
+    // x += alpha p, r -= alpha ap, and the r.r reduction share one launch;
+    // r's store+reload between the update and the reduction stays in
+    // registers (one 8-byte elision per element).
+    red_[0] = ctx_->fused(r.size())
+                  .then({2.0, 24.0},
+                        [&](std::size_t i) { x[i] += alpha * p[i]; })
+                  .then({2.0, 24.0},
+                        [&](std::size_t i) { r[i] -= alpha * ap[i]; })
+                  .elide(8.0)
+                  .reduce_sum({2.0, 16.0},
+                              [&](std::size_t i) { return r[i] * r[i]; });
+  } else {
+    axpy(*ctx_, alpha, p, x);
+    axpy(*ctx_, -alpha, ap, r);
+    red_[0] = dot_rows(r, r);
+  }
+  span_.reset();
+  if (!fuse_rounds_) return stage(Phase::Rr, 0, 1);
+  // Comm-avoiding round fusion: compute the preconditioned product locally
+  // now, then reduce {||r||^2, r.z} in ONE 2-wide round. Each element
+  // crosses the wire exactly as its own 1-wide round would, so the scalars
+  // — and the whole solve — stay bitwise identical.
+  span_.emplace(opts_.profiler, ctx_, "precond");
+  red_[1] = precondition();
+  return stage(Phase::Rr, 0, 2);
+}
+
+bool Pcg::check() {
+  span_.reset();
+  rnorm_ = std::sqrt(red_[0]);
+  have_rz_new_ = fuse_rounds_;
+  if (have_rz_new_) rz_new_ = red_[1];
+  restart_ = false;
+  if (opts_.abft_every > 0 && (it_ + 1) % opts_.abft_every == 0) {
+    // ABFT residual guard. z is free here (fully rewritten by the precond
+    // stage).
+    span_.emplace(opts_.profiler, ctx_, "abft");
+    a_->apply(*ctx_, x_, ap_);
+    axpby(*ctx_, 1.0, b_, -1.0, ap_, z_);
+    red_[0] = dot_rows(z_, z_);
+    return stage(Phase::TrueResidual, 0, 1);
+  }
+  return close();
+}
+
+bool Pcg::close() {
+  ++it_;
+  if (solved(opts_, rnorm_, r0_)) {
+    status_ = Status::Converged;
+    phase_ = Phase::Idle;
+    return false;
+  }
+  if (have_rz_new_) {
+    direction();
+    return false;
+  }
+  span_.emplace(opts_.profiler, ctx_, "precond");
+  red_[0] = precondition();
+  return stage(Phase::Rz, 0, 1);
+}
+
+void Pcg::direction() {
+  const double beta = restart_ ? 0.0 : rz_new_ / rz_;
+  rz_ = rz_new_;
+  {
+    prof::Scope s(opts_.profiler, ctx_, "blas1");
+    xpby(*ctx_, z_, beta, p_);
+  }
+  phase_ = Phase::Idle;
+}
+
+// Fused iterations need an elementwise preconditioner to fold the apply
+// into the r.z kernel; anything else falls back to apply() + dot.
+double Pcg::precondition() {
+  if (fuse_kernels_ && !md_.empty()) {
+    auto& r = r_;
+    auto& z = z_;
+    auto& md = md_;
+    return ctx_->fused(r.size())
+        .then({1.0, 24.0}, [&](std::size_t i) { z[i] = r[i] / md[i]; })
+        .elide(8.0)
+        .reduce_sum({2.0, 16.0}, [&](std::size_t i) { return r[i] * z[i]; });
+  }
+  m_->apply(*ctx_, r_, z_);
+  return dot_rows(r_, z_);
+}
+
+void Pcg::start() {
+  stage_start();
+  do {
+    if (opts_.reduce) opts_.reduce(reduction());
+  } while (advance());
+}
+
+void Pcg::step() {
+  while (advance()) {
+    if (opts_.reduce) opts_.reduce(reduction());
+  }
+}
+
+SolveResult Pcg::result() const {
+  SolveResult res;
+  res.converged = status_ == Status::Converged;
+  res.iterations = it_;
+  res.final_residual = rnorm_;
+  res.initial_residual = r0_;
+  res.abft_checks = checks_;
+  res.abft_trips = trips_;
+  res.reductions = rounds_;
+  return res;
+}
+
+std::vector<std::pair<std::string, std::span<double>>> Pcg::sdc_targets() {
+  return {{"cg.x", x_},
+          {"cg.r", std::span<double>(r_)},
+          {"cg.z", std::span<double>(z_)},
+          {"cg.p", std::span<double>(p_)}};
+}
+
+void Pcg::save_state(std::vector<double>& out) const {
+  out.clear();
+  out.push_back(rz_);
+  out.push_back(rnorm_);
+  out.push_back(static_cast<double>(it_));
+  out.push_back(static_cast<double>(static_cast<int>(status_)));
+  out.insert(out.end(), x_.begin(), x_.end());
+  out.insert(out.end(), r_.begin(), r_.end());
+  out.insert(out.end(), z_.begin(), z_.end());
+  out.insert(out.end(), p_.begin(), p_.end());
+  if (opts_.rel_tol > 0.0) out.push_back(r0_);
+}
+
+void Pcg::restore_state(const std::vector<double>& in) {
+  const double* c = in.data();
+  rz_ = *c++;
+  rnorm_ = *c++;
+  it_ = static_cast<std::size_t>(*c++);
+  status_ = static_cast<Status>(static_cast<int>(*c++));
+  for (std::span<double> v : {x_, std::span<double>(r_), std::span<double>(z_),
+                              std::span<double>(p_)}) {
+    std::copy(c, c + v.size(), v.begin());
+    c += v.size();
+  }
+  if (opts_.rel_tol > 0.0) r0_ = *c;
+  phase_ = Phase::Idle;
+  span_.reset();
+}
+
 SolveResult cg(core::ExecContext& ctx, const Operator& a,
                const Preconditioner& m, std::span<const double> b,
                std::span<double> x, const SolveOptions& opts) {
-  const std::size_t n = a.rows();
-  std::vector<double> r(n), z(n), p(n), ap(n);
-
-  // Declare the solver's working set to the residency arena (no-op when none
-  // is attached). The matrix and vectors are re-touched every iteration, so
-  // under capacity pressure the arena prices the refault traffic an
-  // oversubscribed GPU would see.
-  const double vb = static_cast<double>(n) * 8.0;
-  const auto touch_operands = [&] {
-    ctx.touch_device("cg.A", a.footprint_bytes(), core::MemAccess::Read);
-    ctx.touch_device("cg.b", vb, core::MemAccess::Read);
-    ctx.touch_device("cg.x", vb, core::MemAccess::Write);
-    ctx.touch_device("cg.r", vb, core::MemAccess::Write);
-    ctx.touch_device("cg.z", vb, core::MemAccess::Write);
-    ctx.touch_device("cg.p", vb, core::MemAccess::Write);
-    ctx.touch_device("cg.ap", vb, core::MemAccess::Write);
-  };
-
   prof::Scope solve_span(opts.profiler, &ctx, "cg");
-  touch_operands();
-  {
-    prof::Scope s(opts.profiler, &ctx, "spmv");
-    a.apply(ctx, x, ap);
-  }
-  {
-    prof::Scope s(opts.profiler, &ctx, "blas1");
-    axpby(ctx, 1.0, b, -1.0, ap, r);
-  }
-  {
-    prof::Scope s(opts.profiler, &ctx, "precond");
-    m.apply(ctx, r, z);
-  }
-  copy(ctx, z, p);
-
-  SolveResult res;
-  // Every scalar a dot/norm produces goes through the (optional) global
-  // reduction hook; counting rounds even without a hook keeps the
-  // communication structure visible to single-process callers.
-  auto greduce = [&](std::span<double> vals) {
-    if (opts.reduce) opts.reduce(vals);
-    res.reductions += 1;
-  };
-  // The ABFT guard rewrites z mid-iteration, which the fused round's early
-  // preconditioner apply would then clobber — fall back to two rounds.
-  const bool fuse_rounds = opts.fused_reductions && opts.abft_every == 0;
-
-  double rz = dot(ctx, r, z);
-  double rr0 = dot(ctx, r, r);
-  if (fuse_rounds) {
-    double pair[2] = {rz, rr0};
-    greduce(pair);
-    rz = pair[0];
-    rr0 = pair[1];
-  } else {
-    greduce(std::span<double>(&rz, 1));
-    greduce(std::span<double>(&rr0, 1));
-  }
-  const double r0 = std::sqrt(rr0);
-  res.initial_residual = r0;
-  res.final_residual = r0;
-  if (done(opts, r0, r0) || r0 == 0.0) {
-    res.converged = true;
-    return res;
-  }
-
-  // Fused iterations need an elementwise preconditioner to fold the apply
-  // into the r.z kernel; anything else falls back to apply() + dot.
-  const std::span<const double> md = m.diag();
-
-  for (std::size_t it = 1; it <= opts.max_iters; ++it) {
-    touch_operands();
-    {
-      prof::Scope s(opts.profiler, &ctx, "spmv");
-      a.apply(ctx, p, ap);
-    }
-    double pap, alpha, rr = 0.0, rnorm = 0.0;
-    double rz_new = 0.0;
-    bool have_rz_new = false;
-    {
-      prof::Scope s(opts.profiler, &ctx, "blas1");
-      pap = dot(ctx, p, ap);
-      greduce(std::span<double>(&pap, 1));
-      if (pap == 0.0) break;
-      alpha = rz / pap;
-      if (opts.fused) {
-        // x += alpha p, r -= alpha ap, and the r.r reduction share one
-        // launch; r's store+reload between the update and the reduction
-        // stays in registers (one 8-byte elision per element).
-        rr = ctx.fused(n)
-                 .then({2.0, 24.0},
-                       [&](std::size_t i) { x[i] += alpha * p[i]; })
-                 .then({2.0, 24.0},
-                       [&](std::size_t i) { r[i] -= alpha * ap[i]; })
-                 .elide(8.0)
-                 .reduce_sum({2.0, 16.0},
-                             [&](std::size_t i) { return r[i] * r[i]; });
-      } else {
-        axpy(ctx, alpha, p, x);
-        axpy(ctx, -alpha, ap, r);
-        rr = dot(ctx, r, r);
-      }
-    }
-    if (fuse_rounds) {
-      // Comm-avoiding round fusion: compute the preconditioned product
-      // locally now, then reduce {||r||^2, r.z} in ONE 2-wide round. Each
-      // element crosses the wire exactly as its own 1-wide round would, so
-      // the scalars — and the whole solve — stay bitwise identical.
-      prof::Scope s(opts.profiler, &ctx, "precond");
-      if (opts.fused && !md.empty()) {
-        rz_new = ctx.fused(n)
-                     .then({1.0, 24.0},
-                           [&](std::size_t i) { z[i] = r[i] / md[i]; })
-                     .elide(8.0)
-                     .reduce_sum({2.0, 16.0},
-                                 [&](std::size_t i) { return r[i] * z[i]; });
-      } else {
-        m.apply(ctx, r, z);
-        rz_new = dot(ctx, r, z);
-      }
-      double pair[2] = {rr, rz_new};
-      greduce(pair);
-      rr = pair[0];
-      rz_new = pair[1];
-      have_rz_new = true;
-    } else {
-      greduce(std::span<double>(&rr, 1));
-    }
-    rnorm = std::sqrt(rr);
-    bool restart = false;
-    if (opts.abft_every > 0 && it % opts.abft_every == 0) {
-      // ABFT residual guard: the recursion's rnorm must track the true
-      // residual. z is free here (fully rewritten by the precond stage).
-      prof::Scope s(opts.profiler, &ctx, "abft");
-      a.apply(ctx, x, ap);
-      axpby(ctx, 1.0, b, -1.0, ap, z);
-      double tsq = dot(ctx, z, z);
-      greduce(std::span<double>(&tsq, 1));
-      const double tnorm = std::sqrt(tsq);
-      ++res.abft_checks;
-      const double mismatch = std::abs(tnorm - rnorm);
-      if (!(mismatch <= opts.abft_tol * std::max(tnorm, rnorm))) {
-        // Adopt the recomputed residual and drop the (possibly corrupt)
-        // search direction; beta = 0 below restarts the recursion.
-        ++res.abft_trips;
-        copy(ctx, z, r);
-        rnorm = tnorm;
-        restart = true;
-      }
-    }
-    res.iterations = it;
-    res.final_residual = rnorm;
-    if (done(opts, rnorm, r0)) {
-      res.converged = true;
-      return res;
-    }
-    if (!have_rz_new) {
-      prof::Scope s(opts.profiler, &ctx, "precond");
-      if (opts.fused && !md.empty()) {
-        rz_new = ctx.fused(n)
-                     .then({1.0, 24.0},
-                           [&](std::size_t i) { z[i] = r[i] / md[i]; })
-                     .elide(8.0)
-                     .reduce_sum({2.0, 16.0},
-                                 [&](std::size_t i) { return r[i] * z[i]; });
-      } else {
-        m.apply(ctx, r, z);
-        rz_new = dot(ctx, r, z);
-      }
-      greduce(std::span<double>(&rz_new, 1));
-    }
-    const double beta = restart ? 0.0 : rz_new / rz;
-    rz = rz_new;
-    {
-      prof::Scope s(opts.profiler, &ctx, "blas1");
-      xpby(ctx, z, beta, p);
-    }
-  }
-  return res;
+  Pcg pcg(ctx, a, m, b, x, opts);
+  pcg.start();
+  while (!pcg.done() && pcg.iteration() < opts.max_iters) pcg.step();
+  return pcg.result();
 }
 
 SolveResult bicgstab(core::ExecContext& ctx, const Operator& a,
@@ -215,7 +324,7 @@ SolveResult bicgstab(core::ExecContext& ctx, const Operator& a,
   SolveResult res;
   res.initial_residual = rnorm0;
   res.final_residual = rnorm0;
-  if (done(opts, rnorm0, rnorm0) || rnorm0 == 0.0) {
+  if (solved(opts, rnorm0, rnorm0) || rnorm0 == 0.0) {
     res.converged = true;
     return res;
   }
@@ -230,7 +339,7 @@ SolveResult bicgstab(core::ExecContext& ctx, const Operator& a,
     axpby(ctx, 1.0, r, -alpha, v, s);
     double snorm = norm2(ctx, s);
     res.iterations = it;
-    if (done(opts, snorm, rnorm0)) {
+    if (solved(opts, snorm, rnorm0)) {
       axpy(ctx, alpha, phat, x);
       res.final_residual = snorm;
       res.converged = true;
@@ -246,7 +355,7 @@ SolveResult bicgstab(core::ExecContext& ctx, const Operator& a,
     axpby(ctx, 1.0, s, -omega, t, r);
     const double rnorm = norm2(ctx, r);
     res.final_residual = rnorm;
-    if (done(opts, rnorm, rnorm0)) {
+    if (solved(opts, rnorm, rnorm0)) {
       res.converged = true;
       return res;
     }
@@ -266,6 +375,8 @@ SolveResult gmres(core::ExecContext& ctx, const Operator& a,
                   const Preconditioner& m, std::span<const double> b,
                   std::span<double> x, std::size_t restart,
                   const SolveOptions& opts) {
+  // Restart length 0 leaves no inner iteration to make progress with.
+  if (restart == 0) throw std::invalid_argument("la::gmres: restart == 0");
   const std::size_t n = a.rows();
   const std::size_t k = restart;
   std::vector<std::vector<double>> v(k + 1, std::vector<double>(n));
@@ -285,7 +396,7 @@ SolveResult gmres(core::ExecContext& ctx, const Operator& a,
       res.initial_residual = beta;
     }
     res.final_residual = beta;
-    if (done(opts, beta, r0) || beta == 0.0) {
+    if (solved(opts, beta, r0) || beta == 0.0) {
       res.converged = true;
       return res;
     }
@@ -331,7 +442,7 @@ SolveResult gmres(core::ExecContext& ctx, const Operator& a,
       g[j] *= cs[j];
       res.iterations = total_it + 1;
       res.final_residual = std::abs(g[j + 1]);
-      if (done(opts, res.final_residual, r0)) {
+      if (solved(opts, res.final_residual, r0)) {
         ++j;
         res.converged = true;
         break;

@@ -3,16 +3,20 @@
 // SPD systems, BiCGStab and restarted GMRES for nonsymmetric ones (Cretin's
 // rate matrices, the cuSPARSE-built iterative solver of Section 4.3).
 
+#include <array>
 #include <cstddef>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "la/csr.hpp"
 #include "la/operator.hpp"
-
-namespace coe::prof {
-class Profiler;
-}
+#include "prof/span.hpp"
+#include "resil/checkpoint.hpp"
 
 namespace coe::la {
 
@@ -49,7 +53,7 @@ struct SolveOptions {
   /// system can plug in a collective (e.g. net::allreduce_sum on their
   /// communicator). Unset = single-domain solve, values pass through
   /// untouched. The hook must reduce elementwise and identically on all
-  /// ranks. Only cg() honors it.
+  /// ranks. Only CG (cg() and Pcg) honors it.
   std::function<void(std::span<double>)> reduce;
   /// CG only, comm-avoiding: combine the iteration's two reduction rounds
   /// (the ||r||^2 convergence check and the preconditioned r.z product)
@@ -70,6 +74,96 @@ struct SolveResult {
   std::size_t abft_checks = 0;  ///< true-residual recomputations performed
   std::size_t abft_trips = 0;   ///< checks that forced a recursion restart
   std::size_t reductions = 0;   ///< global reduction rounds (cg only)
+};
+
+/// The preconditioned-CG iteration every CG driver runs: cg() loops it to
+/// convergence, guarded runs step it under resil::run_resilient with the
+/// whole recursion checkpointable, and survivable runs hold one instance per
+/// part (DESIGN.md §11.2, §13.1, §17.2).
+///
+/// The iteration is split into phases at its reduction points: the start
+/// stages {r.z, ||r||^2}; an iteration stages p.Ap, then ||r||^2 (with r.z
+/// when `fused_reductions` joins the rounds), then the ABFT check's
+/// true-residual norm and r.z as the options require. Each phase stages its
+/// partial sums — dots over rows [row_lo, row_hi) — in reduction(); the
+/// caller reduces them in place, one round per staged buffer, and calls
+/// advance(). start() and step() do the same through SolveOptions::reduce.
+/// Vector updates cover every row, so a row-slice part holds a full replica
+/// and only the dots are split.
+class Pcg final : public resil::Checkpointable {
+ public:
+  /// `b` and `x` (the initial guess; receives the iterate) must outlive the
+  /// object. No work is done until stage_start()/start().
+  Pcg(core::ExecContext& ctx, const Operator& a, const Preconditioner& m,
+      std::span<const double> b, std::span<double> x,
+      const SolveOptions& opts = {}, std::size_t row_lo = 0,
+      std::size_t row_hi = std::numeric_limits<std::size_t>::max());
+
+  /// r = b - A x, z = M r, p = z; stages {r.z, ||r||^2} (two rounds unless
+  /// `fused_reductions`).
+  void stage_start();
+  /// Consumes the reduced round and runs to the next reduction point. True
+  /// when it staged another round; false once the start or the iteration is
+  /// complete. Between iterations it begins the next one (false once done).
+  bool advance();
+  std::span<double> reduction() { return {red_.data() + red_at_, red_width_}; }
+
+  /// The start / one iteration end to end, each round through opts.reduce.
+  void start();
+  void step();
+
+  /// Converged, or pAp == 0 stopped the recursion.
+  bool done() const { return status_ != Status::Running; }
+  std::size_t iteration() const { return it_; }
+  double residual() const { return rnorm_; }
+  SolveResult result() const;
+
+  /// Live Krylov-state views for SDC targeting and checksum scrubbing.
+  std::vector<std::pair<std::string, std::span<double>>> sdc_targets();
+
+  /// Blob: rz, rnorm, iteration, status, x, r, z, p — then the initial
+  /// residual norm when a relative tolerance reads it. Restoring into a
+  /// fresh object and stepping on reproduces the iterates bitwise.
+  void save_state(std::vector<double>& out) const override;
+  void restore_state(const std::vector<double>& in) override;
+
+ private:
+  enum class Status { Running, BrokeDown, Converged };
+  enum class Phase { Idle, StartRz, Start, Pap, Rr, TrueResidual, Rz };
+
+  bool stage(Phase next, std::size_t at, std::size_t width);
+  bool search();
+  bool update();
+  bool check();
+  bool close();
+  void direction();
+  double precondition();
+  double dot_rows(std::span<const double> u, std::span<const double> v);
+  void touch_operands();
+
+  core::ExecContext* ctx_;
+  const Operator* a_;
+  const Preconditioner* m_;
+  std::span<const double> b_;
+  std::span<double> x_;
+  SolveOptions opts_;
+  std::span<const double> md_;  ///< elementwise preconditioner, if any
+  std::size_t lo_, hi_;
+  /// Fused kernels reduce over every row they update: whole vectors only.
+  bool fuse_kernels_;
+  /// The ABFT guard rewrites z mid-iteration, which the fused round's early
+  /// preconditioner apply would then clobber: it keeps separate rounds.
+  bool fuse_rounds_;
+  std::vector<double> r_, z_, p_, ap_;
+  std::array<double, 2> red_{};
+  std::size_t red_at_ = 0, red_width_ = 0;
+  Phase phase_ = Phase::Idle;
+  Status status_ = Status::Running;
+  /// The span a phase leaves open across its reduction round.
+  std::optional<prof::Scope> span_;
+  double rz_ = 0.0, rz_new_ = 0.0, rnorm_ = 0.0, r0_ = 0.0;
+  bool have_rz_new_ = false, restart_ = false;
+  std::size_t it_ = 0, checks_ = 0, trips_ = 0, rounds_ = 0;
 };
 
 /// Preconditioned conjugate gradients. `x` holds the initial guess on entry

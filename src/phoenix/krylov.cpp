@@ -1,123 +1,8 @@
 #include "phoenix/krylov.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace coe::phoenix {
-
-PartCg::PartCg(const la::CsrMatrix& a, std::vector<double> b, int part,
-               int nparts, double rel_tol, double abs_tol)
-    : a_(&a),
-      b_(std::move(b)),
-      diag_(a.diagonal()),
-      rel_tol_(rel_tol),
-      abs_tol_(abs_tol) {
-  const std::size_t n = b_.size();
-  x_.assign(n, 0.0);
-  r_.assign(n, 0.0);
-  z_.assign(n, 0.0);
-  p_.assign(n, 0.0);
-  q_.assign(n, 0.0);
-  lo_ = n * static_cast<std::size_t>(part) / static_cast<std::size_t>(nparts);
-  hi_ = n * static_cast<std::size_t>(part + 1) /
-        static_cast<std::size_t>(nparts);
-}
-
-void PartCg::save_state(std::vector<double>& out) const {
-  out.clear();
-  out.reserve(3 * x_.size() + 5);
-  out.insert(out.end(), x_.begin(), x_.end());
-  out.insert(out.end(), r_.begin(), r_.end());
-  out.insert(out.end(), p_.begin(), p_.end());
-  out.push_back(rz_);
-  out.push_back(rnorm0_);
-  out.push_back(resid_);
-  out.push_back(done_);
-  out.push_back(iters_);
-}
-
-void PartCg::restore_state(const std::vector<double>& in) {
-  const std::size_t n = x_.size();
-  const double* at = in.data();
-  std::copy(at, at + n, x_.begin());
-  at += n;
-  std::copy(at, at + n, r_.begin());
-  at += n;
-  std::copy(at, at + n, p_.begin());
-  at += n;
-  rz_ = *at++;
-  rnorm0_ = *at++;
-  resid_ = *at++;
-  done_ = *at++;
-  iters_ = *at++;
-}
-
-double PartCg::dot_partial(const std::vector<double>& u,
-                           const std::vector<double>& v) const {
-  double s = 0.0;
-  for (std::size_t i = lo_; i < hi_; ++i) s += u[i] * v[i];
-  return s;
-}
-
-void PartCg::begin(core::ExecContext& ctx) {
-  const std::size_t n = x_.size();
-  a_->spmv(ctx, x_, q_);
-  ctx.record_kernel({3.0 * double(n), 40.0 * double(n)});
-  for (std::size_t i = 0; i < n; ++i) {
-    r_[i] = b_[i] - q_[i];
-    z_[i] = r_[i] / diag_[i];
-    p_[i] = z_[i];
-  }
-  red_[0] = dot_partial(r_, z_);
-  red_[1] = dot_partial(r_, r_);
-  width_ = 2;
-}
-
-void PartCg::end_begin() {
-  rz_ = red_[0];
-  rnorm0_ = std::sqrt(red_[1]);
-  resid_ = rnorm0_;
-  if (rnorm0_ == 0.0) done_ = 1.0;
-}
-
-void PartCg::phase_pap(core::ExecContext& ctx) {
-  if (done()) return;
-  a_->spmv(ctx, p_, q_);
-  red_[0] = dot_partial(p_, q_);
-  width_ = 1;
-}
-
-void PartCg::phase_update(core::ExecContext& ctx) {
-  if (done()) return;
-  const std::size_t n = x_.size();
-  const double alpha = rz_ / red_[0];
-  ctx.record_kernel({5.0 * double(n), 64.0 * double(n)});
-  for (std::size_t i = 0; i < n; ++i) {
-    x_[i] += alpha * p_[i];
-    r_[i] -= alpha * q_[i];
-    z_[i] = r_[i] / diag_[i];
-  }
-  red_[0] = dot_partial(r_, r_);
-  red_[1] = dot_partial(r_, z_);
-  width_ = 2;
-}
-
-void PartCg::phase_close() {
-  if (done()) return;
-  const double rr = red_[0];
-  const double rz_new = red_[1];
-  iters_ += 1.0;
-  resid_ = std::sqrt(rr);
-  if (resid_ <= std::max(rel_tol_ * rnorm0_, abs_tol_)) {
-    done_ = 1.0;
-    return;
-  }
-  const double beta = rz_new / rz_;
-  rz_ = rz_new;
-  const std::size_t n = x_.size();
-  for (std::size_t i = 0; i < n; ++i) p_[i] = z_[i] + beta * p_[i];
-}
 
 std::function<void(std::span<double>)> replicated_reduce(RankContext& rc,
                                                          int chan) {

@@ -1,14 +1,11 @@
 #pragma once
-// Survivable Krylov pieces (DESIGN.md §17).
+// Survivable Krylov wiring (DESIGN.md §17).
 //
-// PartCg is a checkpointable preconditioned-CG stepper shaped for
-// phoenix::run_survivable: every part holds a full replica of the system,
-// computes its dot-product contributions over a row slice, and the driver's
-// fixed part-tree sums the partials — the full dots, bitwise identical on
-// every part under any part->rank mapping. One CG iteration is one driver
-// step, split into phases around the two reduction points (pap; then the
-// fused {||r||^2, r.z} pair), so a rank kill between any two phases rolls
-// back to a committed iteration and replays bitwise.
+// A survivable CG holds one la::Pcg per part, each with that part's row
+// slice of the dots, and runs its phases around RankContext::part_allreduce:
+// the fixed part-tree sums the partials, so every part sees the full dots
+// bitwise under any part->rank mapping, and a rank kill between phases
+// rolls back to a committed iteration and replays bitwise.
 //
 // replicated_reduce adapts the same part-tree to la::SolveOptions::reduce,
 // wiring the stock la::cg into a phoenix world: each rank computes the
@@ -16,65 +13,12 @@
 // and the hook rescales by 1/nparts — exact (not just close) when nparts
 // is a power of two, since the scale touches only the exponent.
 
-#include <cstddef>
 #include <functional>
 #include <span>
-#include <vector>
 
-#include "la/csr.hpp"
 #include "phoenix/driver.hpp"
 
 namespace coe::phoenix {
-
-/// Replicated-system PCG (Jacobi preconditioner) advancing one iteration
-/// per driver step through the phase methods below. The checkpoint blob is
-/// [x | r | p | rz, rnorm0, done, iters] — everything the recursion reads.
-class PartCg final : public resil::Checkpointable {
- public:
-  PartCg(const la::CsrMatrix& a, std::vector<double> b, int part, int nparts,
-         double rel_tol = 1e-10, double abs_tol = 0.0);
-
-  void save_state(std::vector<double>& out) const override;
-  void restore_state(const std::vector<double>& in) override;
-
-  // --- step 0: residual/search-direction init ---------------------------
-  /// r = b - A x, z = M r, p = z; stages partial {r.z, ||r||^2} (2-wide).
-  void begin(core::ExecContext& ctx);
-  /// Consumes the reduced pair.
-  void end_begin();
-
-  // --- steps >= 1: one CG iteration -------------------------------------
-  /// q = A p; stages partial p.q (1-wide). No-op once done().
-  void phase_pap(core::ExecContext& ctx);
-  /// alpha update of x and r, z = M r; stages partial {||r||^2, r.z}.
-  void phase_update(core::ExecContext& ctx);
-  /// Convergence check and the beta update of p.
-  void phase_close();
-
-  /// Reduction scratch staged by the phases; pass through part_allreduce
-  /// with width() entries before calling the consuming phase.
-  std::span<double> reduction() { return {red_.data(), width_}; }
-  std::size_t width() const { return width_; }
-
-  bool done() const { return done_ != 0.0; }
-  std::size_t iterations() const { return static_cast<std::size_t>(iters_); }
-  double residual() const { return resid_; }
-  std::span<const double> x() const { return x_; }
-
- private:
-  double dot_partial(const std::vector<double>& u,
-                     const std::vector<double>& v) const;
-
-  const la::CsrMatrix* a_;
-  std::vector<double> b_, diag_;
-  std::vector<double> x_, r_, z_, p_, q_;
-  std::vector<double> red_ = {0.0, 0.0};
-  std::size_t width_ = 2;
-  std::size_t lo_ = 0, hi_ = 0;
-  double rel_tol_, abs_tol_;
-  double rz_ = 0.0, rnorm0_ = 0.0, resid_ = 0.0;
-  double done_ = 0.0, iters_ = 0.0;  ///< doubles: they ride the blob
-};
 
 /// la::SolveOptions::reduce hook backed by the part-tree. Requires exactly
 /// one owned part (Spare policy or fault-free) and a power-of-two part

@@ -414,6 +414,14 @@ TEST(Abft, CgSelfHealsThroughResidualRestart) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-4);
 }
 
+/// CG stepping options: zero tolerance, so every step runs the full
+/// iteration.
+la::SolveOptions every_step() {
+  la::SolveOptions opts;
+  opts.rel_tol = 0.0;
+  return opts;
+}
+
 TEST(CgStepper, ConvergesAndRoundTripsBitwise) {
   auto a = la::poisson2d(8, 8);
   const std::size_t n = a.rows();
@@ -426,7 +434,8 @@ TEST(CgStepper, ConvergesAndRoundTripsBitwise) {
   la::JacobiPreconditioner prec(a);
 
   std::vector<double> x(n, 0.0);
-  la::CgStepper cg(ctx, op, prec, b, x);
+  la::Pcg cg(ctx, op, prec, b, x, every_step());
+  cg.start();
   EXPECT_EQ(cg.sdc_targets().size(), 4u);
   for (int k = 0; k < 20; ++k) cg.step();
   std::vector<double> ck;
@@ -447,6 +456,22 @@ TEST(CgStepper, ConvergesAndRoundTripsBitwise) {
   }
   EXPECT_LT(resid_a, 1e-8);  // 40 PCG iterations on an 8x8 Poisson problem
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
+
+  // Stepping is la::cg one iteration at a time: 40 steps are the
+  // 40-iteration zero-tolerance solve, bit for bit and launch for launch.
+  auto ctx_step = core::make_device();
+  std::vector<double> x_step(n, 0.0);
+  la::Pcg stepper(ctx_step, op, prec, b, x_step, every_step());
+  stepper.start();
+  for (int k = 0; k < 40; ++k) stepper.step();
+  auto ctx_cg = core::make_device();
+  std::vector<double> x_cg(n, 0.0);
+  la::SolveOptions opts = every_step();
+  opts.max_iters = 40;
+  la::cg(ctx_cg, op, prec, b, x_cg, opts);
+  EXPECT_EQ(x_step, x_cg);
+  EXPECT_EQ(ctx_step.simulated_time(), ctx_cg.simulated_time());
+  EXPECT_EQ(ctx_step.counters().launches, ctx_cg.counters().launches);
 }
 
 // --- Guarded runs: containment acceptance ----------------------------------
@@ -512,14 +537,16 @@ TEST(GuardedRun, CgContainsEveryCorruptionBitwise) {
   la::AbftCsrOperator op_ref(a);
   std::vector<double> x_ref(n, 0.0);
   a.spmv(ctx_ref, x_true, b);
-  la::CgStepper cg_ref(ctx_ref, op_ref, prec, b, x_ref);
+  la::Pcg cg_ref(ctx_ref, op_ref, prec, b, x_ref, every_step());
+  cg_ref.start();
   for (std::size_t s = 0; s < steps; ++s) cg_ref.step();
 
   // Corrupted run: a bit flip lands on every second verification poll.
   auto ctx = core::make_device();
   la::AbftCsrOperator op(a);
   std::vector<double> x(n, 0.0);
-  la::CgStepper cg(ctx, op, prec, b, x);
+  la::Pcg cg(ctx, op, prec, b, x, every_step());
+  cg.start();
   guard::SdcConfig sdc;
   sdc.every_polls = 2;
   sdc.seed = chaos_seed() * 1000003 + 1;

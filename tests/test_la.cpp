@@ -2,7 +2,11 @@
 // smoothers, and the Krylov solvers.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -255,6 +259,31 @@ TEST(Krylov, GmresSolvesNonsymmetric) {
   auto res = la::gmres(ctx, op, prec, b, x, 20, {500, 1e-12, 0.0});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-7);
+}
+
+/// Exits 0 when GMRES(0) throws std::invalid_argument, 1 when it returns;
+/// the alarm kills it after 5 s if it does neither.
+[[noreturn]] void gmres_zero_restart() {
+  alarm(5);
+  auto a = la::poisson2d(4, 4);
+  la::CsrOperator op(a);
+  la::JacobiPreconditioner prec(a);
+  std::vector<double> b(a.rows(), 1.0);
+  std::vector<double> x(a.rows(), 0.0);
+  auto ctx = core::make_seq();
+  try {
+    la::gmres(ctx, op, prec, b, x, 0);
+  } catch (const std::invalid_argument&) {
+    std::exit(0);
+  }
+  std::exit(1);
+}
+
+TEST(Krylov, GmresZeroRestartThrows) {
+  // GMRES(0) has no inner iteration to make progress with. The solve runs
+  // in a child process, so a solver that never returns fails this test on
+  // the alarm instead of hanging the suite.
+  EXPECT_EXIT(gmres_zero_restart(), ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Smoothers, JacobiReducesResidual) {

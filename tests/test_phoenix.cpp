@@ -627,6 +627,34 @@ struct CgRunOut {
   phoenix::SurvivableReport report;
 };
 
+/// One survivable-CG part: a full replica of the system whose dots cover
+/// rows [lo, hi), reduced in fused rounds.
+struct CgPart final : resil::Checkpointable {
+  CgPart(core::ExecContext& ctx, const la::CsrMatrix& a,
+         const std::vector<double>& b, std::size_t lo, std::size_t hi)
+      : op(a),
+        prec(a),
+        x(b.size(), 0.0),
+        cg(ctx, op, prec, b, x, options(), lo, hi) {}
+  static la::SolveOptions options() {
+    la::SolveOptions opts;
+    opts.rel_tol = 1e-10;
+    opts.fused_reductions = true;
+    return opts;
+  }
+  void save_state(std::vector<double>& out) const override {
+    cg.save_state(out);
+  }
+  void restore_state(const std::vector<double>& in) override {
+    cg.restore_state(in);
+  }
+
+  la::CsrOperator op;
+  la::JacobiPreconditioner prec;
+  std::vector<double> x;
+  la::Pcg cg;
+};
+
 CgRunOut run_survivable_cg(const la::CsrMatrix& a,
                            const std::vector<double>& b, int workers,
                            int spares, int steps, int ckpt_every,
@@ -642,28 +670,34 @@ CgRunOut run_survivable_cg(const la::CsrMatrix& a,
   cfg.mpi.max_retries = 1;
   cfg.fault_hook = std::move(hook);
 
-  auto cgp = [](phoenix::RankContext& rc, int p) -> phoenix::PartCg& {
-    return static_cast<phoenix::PartCg&>(rc.part(p));
+  auto cgp = [](phoenix::RankContext& rc, int p) -> CgPart& {
+    return static_cast<CgPart&>(rc.part(p));
   };
 
   phoenix::SurvivableHooks hooks;
   hooks.make = [&a, &b](phoenix::RankContext& rc, int part) {
-    return std::make_unique<phoenix::PartCg>(a, b, part, rc.nparts());
+    const std::size_t n = b.size();
+    const auto np = static_cast<std::size_t>(rc.nparts());
+    const auto p = static_cast<std::size_t>(part);
+    return std::make_unique<CgPart>(rc.ctx(), a, b, n * p / np,
+                                    n * (p + 1) / np);
   };
+  // Step 0 is the residual init, every later step one iteration. The owned
+  // parts run in lockstep, so they reach each reduction round together.
   hooks.step = [cgp](phoenix::RankContext& rc, int step) {
-    const int chan = phoenix::RankContext::kChanApp;
-    auto buf = [&](int p) { return cgp(rc, p).reduction(); };
-    if (step == 0) {
-      for (int p : rc.owned()) cgp(rc, p).begin(rc.ctx());
-      rc.part_allreduce(chan, buf);
-      for (int p : rc.owned()) cgp(rc, p).end_begin();
-      return;
+    auto buf = [&](int p) { return cgp(rc, p).cg.reduction(); };
+    bool more = true;
+    for (int p : rc.owned()) {
+      if (step == 0) {
+        cgp(rc, p).cg.stage_start();
+      } else {
+        more = cgp(rc, p).cg.advance();
+      }
     }
-    for (int p : rc.owned()) cgp(rc, p).phase_pap(rc.ctx());
-    rc.part_allreduce(chan, buf);
-    for (int p : rc.owned()) cgp(rc, p).phase_update(rc.ctx());
-    rc.part_allreduce(chan, buf);
-    for (int p : rc.owned()) cgp(rc, p).phase_close();
+    while (more) {
+      rc.part_allreduce(phoenix::RankContext::kChanApp, buf);
+      for (int p : rc.owned()) more = cgp(rc, p).cg.advance();
+    }
   };
 
   CgRunOut out;
@@ -671,9 +705,8 @@ CgRunOut run_survivable_cg(const la::CsrMatrix& a,
   hooks.finish = [&, cgp](phoenix::RankContext& rc) {
     std::lock_guard<std::mutex> lk(mtx);
     for (int p : rc.owned()) {
-      auto xs = cgp(rc, p).x();
-      out.x[p].assign(xs.begin(), xs.end());
-      out.iters[p] = cgp(rc, p).iterations();
+      out.x[p] = cgp(rc, p).x;
+      out.iters[p] = cgp(rc, p).cg.iteration();
     }
   };
   out.report = phoenix::run_survivable(cfg, hooks);
@@ -708,6 +741,23 @@ TEST(PhoenixKrylov, PartCgSurvivesKillBitwise) {
     EXPECT_EQ(r.x.at(p), ref.x.at(p)) << "part " << p;
     EXPECT_EQ(r.iters.at(p), ref.iters.at(p));
   }
+
+  // One part is the single-domain solve with fused reduction rounds, bit
+  // for bit: the survivable driver adds no arithmetic of its own.
+  const int steps = 80;
+  auto one = run_survivable_cg(a, b, 1, 0, steps, 0, {});
+  la::CsrOperator op(a);
+  la::JacobiPreconditioner prec(a);
+  la::SolveOptions opts;
+  opts.max_iters = steps - 1;  // step 0 is the residual init
+  opts.rel_tol = 1e-10;
+  opts.fused_reductions = true;
+  std::vector<double> x_plain(n, 0.0);
+  auto plain_ctx = core::make_seq();
+  const auto plain = la::cg(plain_ctx, op, prec, b, x_plain, opts);
+  ASSERT_TRUE(plain.converged);
+  EXPECT_EQ(one.x.at(0), x_plain);
+  EXPECT_EQ(one.iters.at(0), plain.iterations);
 }
 
 // The la::cg wiring: with a pof2 part count the replicated tree-sum and the
