@@ -35,7 +35,9 @@ class DiffusionRhs final : public ode::OdeRhs {
     DiagPrec prec{&mass_diag_};
     ydot.fill(0.0);
     auto res = la::cg(*ctx_, mass_, prec, scratch_, ydot.data(),
-                      {200, 1e-10, 0.0, false, cfg_->profiler});
+                      {.max_iters = 200,
+                       .rel_tol = 1e-10,
+                       .profiler = cfg_->profiler});
     report_->mass_cg_iterations += res.iterations;
   }
 
@@ -110,7 +112,9 @@ class DiffusionNewtonSolver final : public ode::OdeLinearSolver {
         cfg_->use_amg ? static_cast<const la::Preconditioner&>(*amg_)
                       : static_cast<const la::Preconditioner&>(*jacobi_);
     auto res = la::cg(*ctx_, system_, prec, rhs_, x.data(),
-                      {500, 1e-8, 0.0, false, cfg_->profiler});
+                      {.max_iters = 500,
+                       .rel_tol = 1e-8,
+                       .profiler = cfg_->profiler});
     report_->cg_iterations += res.iterations;
     report_->cg_solves += 1;
   }

@@ -1,22 +1,32 @@
 #include "fem/elliptic.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace coe::fem {
 
 namespace {
-// Generous stack bounds: order <= 10, quadrature <= order + 2.
-constexpr std::size_t kMaxP1 = 11;
-constexpr std::size_t kMaxQ = 13;
+// Stack bounds of the element kernels: order <= 10, quadrature = order + 2.
+constexpr std::size_t kMaxOrder = 10;
+constexpr std::size_t kMaxP1 = kMaxOrder + 1;
+constexpr std::size_t kMaxQ = kMaxOrder + 2;
+
+std::size_t checked_order(const TensorMesh2D& mesh) {
+  if (mesh.order() < 1 || mesh.order() > kMaxOrder) {
+    throw std::invalid_argument(
+        "EllipticOperator: order must be in 1.." + std::to_string(kMaxOrder) +
+        ", got " + std::to_string(mesh.order()));
+  }
+  return mesh.order();
+}
 }  // namespace
 
 EllipticOperator::EllipticOperator(const TensorMesh2D& mesh, Assembly mode,
                                    double alpha, double beta)
     : mesh_(&mesh), mode_(mode), alpha_(alpha), beta_(beta),
-      el_(make_element(mesh.order())) {
-  assert(mesh.order() + 1 <= kMaxP1);
+      el_(make_element(checked_order(mesh))) {
   const std::size_t q = el_.quad.points.size();
   kappa_q_.assign(mesh.num_elements() * q * q, 1.0);
   kappa_nodal_.assign(mesh.num_dofs(), 1.0);
@@ -103,10 +113,38 @@ void EllipticOperator::apply(core::ExecContext& ctx,
 void EllipticOperator::apply_partial(core::ExecContext& ctx,
                                      std::span<const double> x,
                                      std::span<double> y) const {
-  const std::size_t p1 = mesh_->order() + 1;
-  const std::size_t q = el_.quad.points.size();
-  const auto& T = el_.tab;
+  switch (mesh_->order()) {
+    case 1: return apply_partial_p<2, 3>(ctx, x, y);
+    case 2: return apply_partial_p<3, 4>(ctx, x, y);
+    case 3: return apply_partial_p<4, 5>(ctx, x, y);
+    case 4: return apply_partial_p<5, 6>(ctx, x, y);
+    case 5: return apply_partial_p<6, 7>(ctx, x, y);
+    case 6: return apply_partial_p<7, 8>(ctx, x, y);
+    case 7: return apply_partial_p<8, 9>(ctx, x, y);
+    case 8: return apply_partial_p<9, 10>(ctx, x, y);
+    case 9: return apply_partial_p<10, 11>(ctx, x, y);
+    case 10: return apply_partial_p<11, 12>(ctx, x, y);
+    default: checked_order(*mesh_);  // throws; the constructor checked it
+  }
+}
+
+template <std::size_t P1, std::size_t Q>
+void EllipticOperator::apply_partial_p(core::ExecContext& ctx,
+                                       std::span<const double> x,
+                                       std::span<double> y) const {
+  static_assert(Q == P1 + 1 && P1 <= kMaxP1);
+  constexpr std::size_t p1 = P1;
+  constexpr std::size_t q = Q;
   const auto& w = el_.quad.weights;
+  // The basis values B and derivatives G at the Gauss points, copied
+  // into arrays with compile-time strides.
+  double B[Q][P1], G[Q][P1];
+  for (std::size_t q1 = 0; q1 < q; ++q1) {
+    for (std::size_t i = 0; i < p1; ++i) {
+      B[q1][i] = el_.tab.b(q1, i);
+      G[q1][i] = el_.tab.g(q1, i);
+    }
+  }
 
   ctx.forall(y.size(), {0.0, 8.0}, [&](std::size_t i) { y[i] = 0.0; });
 
@@ -133,7 +171,7 @@ void EllipticOperator::apply_partial(core::ExecContext& ctx,
       // ConstrainedOperator semantics: boundary columns are eliminated, so
       // boundary entries of x are treated as zero here and restored by the
       // identity rows afterwards.
-      double E[kMaxP1][kMaxP1];
+      double E[P1][P1];
       for (std::size_t i = 0; i < p1; ++i) {
         for (std::size_t j = 0; j < p1; ++j) {
           const std::size_t d = mesh_->elem_dof(ex, ey, i, j);
@@ -142,26 +180,26 @@ void EllipticOperator::apply_partial(core::ExecContext& ctx,
       }
 
       // Forward contractions: values and reference gradients at qpoints.
-      double tb[kMaxQ][kMaxP1], tg[kMaxQ][kMaxP1];
+      double tb[Q][P1], tg[Q][P1];
       for (std::size_t q1 = 0; q1 < q; ++q1) {
         for (std::size_t j = 0; j < p1; ++j) {
           double sb = 0.0, sg = 0.0;
           for (std::size_t i = 0; i < p1; ++i) {
-            sb += T.b(q1, i) * E[i][j];
-            sg += T.g(q1, i) * E[i][j];
+            sb += B[q1][i] * E[i][j];
+            sg += G[q1][i] * E[i][j];
           }
           tb[q1][j] = sb;
           tg[q1][j] = sg;
         }
       }
-      double Uq[kMaxQ][kMaxQ], Gx[kMaxQ][kMaxQ], Gy[kMaxQ][kMaxQ];
+      double Uq[Q][Q], Gx[Q][Q], Gy[Q][Q];
       for (std::size_t q1 = 0; q1 < q; ++q1) {
         for (std::size_t q2 = 0; q2 < q; ++q2) {
           double su = 0.0, sx = 0.0, sy = 0.0;
           for (std::size_t j = 0; j < p1; ++j) {
-            su += tb[q1][j] * T.b(q2, j);
-            sx += tg[q1][j] * T.b(q2, j);
-            sy += tb[q1][j] * T.g(q2, j);
+            su += tb[q1][j] * B[q2][j];
+            sx += tg[q1][j] * B[q2][j];
+            sy += tb[q1][j] * G[q2][j];
           }
           Uq[q1][q2] = su;
           Gx[q1][q2] = sx;
@@ -184,13 +222,13 @@ void EllipticOperator::apply_partial(core::ExecContext& ctx,
       }
 
       // Backward contractions: Y = B'(Uq)B + G'(Gx)B + B'(Gy)G.
-      double sb1[kMaxP1][kMaxQ], sb2[kMaxP1][kMaxQ];
+      double sb1[P1][Q], sb2[P1][Q];
       for (std::size_t i = 0; i < p1; ++i) {
         for (std::size_t q2 = 0; q2 < q; ++q2) {
           double s1 = 0.0, s2 = 0.0;
           for (std::size_t q1 = 0; q1 < q; ++q1) {
-            s1 += T.b(q1, i) * Uq[q1][q2] + T.g(q1, i) * Gx[q1][q2];
-            s2 += T.b(q1, i) * Gy[q1][q2];
+            s1 += B[q1][i] * Uq[q1][q2] + G[q1][i] * Gx[q1][q2];
+            s2 += B[q1][i] * Gy[q1][q2];
           }
           sb1[i][q2] = s1;
           sb2[i][q2] = s2;
@@ -200,7 +238,7 @@ void EllipticOperator::apply_partial(core::ExecContext& ctx,
         for (std::size_t j = 0; j < p1; ++j) {
           double s = 0.0;
           for (std::size_t q2 = 0; q2 < q; ++q2) {
-            s += sb1[i][q2] * T.b(q2, j) + sb2[i][q2] * T.g(q2, j);
+            s += sb1[i][q2] * B[q2][j] + sb2[i][q2] * G[q2][j];
           }
           y[mesh_->elem_dof(ex, ey, i, j)] += s;
         }
@@ -209,8 +247,8 @@ void EllipticOperator::apply_partial(core::ExecContext& ctx,
   }
 }
 
-la::DenseMatrix EllipticOperator::element_matrix(std::size_t ex,
-                                                 std::size_t ey) const {
+void EllipticOperator::element_matrix(std::size_t ex, std::size_t ey,
+                                      std::span<double> m) const {
   const std::size_t p1 = mesh_->order() + 1;
   const std::size_t q = el_.quad.points.size();
   const auto& T = el_.tab;
@@ -219,7 +257,7 @@ la::DenseMatrix EllipticOperator::element_matrix(std::size_t ex,
   const double hy = mesh_->elem_hy(ey);
   const std::size_t e = ex * mesh_->ny() + ey;
   const std::size_t n2 = p1 * p1;
-  la::DenseMatrix m(n2, n2);
+  std::fill(m.begin(), m.end(), 0.0);
   for (std::size_t q1 = 0; q1 < q; ++q1) {
     for (std::size_t q2 = 0; q2 < q; ++q2) {
       const double ww = w[q1] * w[q2];
@@ -235,24 +273,27 @@ la::DenseMatrix EllipticOperator::element_matrix(std::size_t ex,
             for (std::size_t l = 0; l < p1; ++l) {
               const double bk = T.b(q1, k), bl = T.b(q2, l);
               const double gk = T.g(q1, k), gl = T.g(q2, l);
-              m(i * p1 + j, k * p1 + l) += cm * bi * bj * bk * bl +
-                                           cx * gi * bj * gk * bl +
-                                           cy * bi * gj * bk * gl;
+              m[(i * p1 + j) * n2 + k * p1 + l] += cm * bi * bj * bk * bl +
+                                                   cx * gi * bj * gk * bl +
+                                                   cy * bi * gj * bk * gl;
             }
           }
         }
       }
     }
   }
-  return m;
 }
 
 void EllipticOperator::build_full() const {
   const std::size_t p1 = mesh_->order() + 1;
+  const std::size_t n2 = p1 * p1;
+  const auto& bdr = mesh_->boundary_dofs();
+  std::vector<double> m(n2 * n2);
   std::vector<la::Triplet> trips;
+  trips.reserve(mesh_->num_elements() * n2 * n2 + bdr.size());
   for (std::size_t ex = 0; ex < mesh_->nx(); ++ex) {
     for (std::size_t ey = 0; ey < mesh_->ny(); ++ey) {
-      const auto m = element_matrix(ex, ey);
+      element_matrix(ex, ey, m);
       for (std::size_t i = 0; i < p1; ++i) {
         for (std::size_t j = 0; j < p1; ++j) {
           const std::size_t r = mesh_->elem_dof(ex, ey, i, j);
@@ -261,14 +302,14 @@ void EllipticOperator::build_full() const {
             for (std::size_t l = 0; l < p1; ++l) {
               const std::size_t c = mesh_->elem_dof(ex, ey, k, l);
               if (mesh_->is_boundary(c)) continue;
-              trips.push_back({r, c, m(i * p1 + j, k * p1 + l)});
+              trips.push_back({r, c, m[(i * p1 + j) * n2 + k * p1 + l]});
             }
           }
         }
       }
     }
   }
-  for (std::size_t b : mesh_->boundary_dofs()) trips.push_back({b, b, 1.0});
+  for (std::size_t b : bdr) trips.push_back({b, b, 1.0});
   full_ = la::CsrMatrix::from_triplets(mesh_->num_dofs(), mesh_->num_dofs(),
                                        std::move(trips));
   full_built_ = true;
@@ -302,14 +343,40 @@ la::CsrMatrix EllipticOperator::assemble_lor() const {
 }
 
 std::vector<double> EllipticOperator::assemble_diagonal() const {
+  // Only the k = i, l = j terms of element_matrix(), accumulated in the
+  // same quadrature order with the same products, so each entry is
+  // bitwise the diagonal of the full element matrix.
   const std::size_t p1 = mesh_->order() + 1;
+  const std::size_t q = el_.quad.points.size();
+  const auto& T = el_.tab;
+  const auto& w = el_.quad.weights;
   std::vector<double> d(mesh_->num_dofs(), 0.0);
   for (std::size_t ex = 0; ex < mesh_->nx(); ++ex) {
     for (std::size_t ey = 0; ey < mesh_->ny(); ++ey) {
-      const auto m = element_matrix(ex, ey);
+      const double hx = mesh_->elem_hx(ex);
+      const double hy = mesh_->elem_hy(ey);
+      const std::size_t e = ex * mesh_->ny() + ey;
+      double de[kMaxP1][kMaxP1] = {};
+      for (std::size_t q1 = 0; q1 < q; ++q1) {
+        for (std::size_t q2 = 0; q2 < q; ++q2) {
+          const double ww = w[q1] * w[q2];
+          const double kq = kappa_q_[(e * q + q1) * q + q2];
+          const double cm = alpha_ * ww * 0.25 * hx * hy;
+          const double cx = beta_ * kq * ww * hy / hx;
+          const double cy = beta_ * kq * ww * hx / hy;
+          for (std::size_t i = 0; i < p1; ++i) {
+            for (std::size_t j = 0; j < p1; ++j) {
+              const double bi = T.b(q1, i), bj = T.b(q2, j);
+              const double gi = T.g(q1, i), gj = T.g(q2, j);
+              de[i][j] += cm * bi * bj * bi * bj + cx * gi * bj * gi * bj +
+                          cy * bi * gj * bi * gj;
+            }
+          }
+        }
+      }
       for (std::size_t i = 0; i < p1; ++i) {
         for (std::size_t j = 0; j < p1; ++j) {
-          d[mesh_->elem_dof(ex, ey, i, j)] += m(i * p1 + j, i * p1 + j);
+          d[mesh_->elem_dof(ex, ey, i, j)] += de[i][j];
         }
       }
     }

@@ -17,7 +17,6 @@
 
 #include "fem/mesh.hpp"
 #include "la/csr.hpp"
-#include "la/dense.hpp"
 #include "la/operator.hpp"
 
 namespace coe::fem {
@@ -26,6 +25,8 @@ enum class Assembly { Full, Partial };
 
 class EllipticOperator final : public la::Operator {
  public:
+  /// Throws std::invalid_argument unless 1 <= mesh.order() <= 10 (the
+  /// element kernels' stack bound).
   EllipticOperator(const TensorMesh2D& mesh, Assembly mode, double alpha,
                    double beta);
 
@@ -73,7 +74,15 @@ class EllipticOperator final : public la::Operator {
  private:
   void apply_partial(core::ExecContext& ctx, std::span<const double> x,
                      std::span<double> y) const;
-  la::DenseMatrix element_matrix(std::size_t ex, std::size_t ey) const;
+  /// The partial-assembly kernel with compile-time loop bounds: P1 = p + 1
+  /// nodes and Q = p + 2 Gauss points per direction. apply_partial picks
+  /// the instance for the mesh order.
+  template <std::size_t P1, std::size_t Q>
+  void apply_partial_p(core::ExecContext& ctx, std::span<const double> x,
+                       std::span<double> y) const;
+  /// Writes the (p+1)^2 x (p+1)^2 element matrix, row-major, into `m`.
+  void element_matrix(std::size_t ex, std::size_t ey,
+                      std::span<double> m) const;
   void build_full() const;
 
   const TensorMesh2D* mesh_;

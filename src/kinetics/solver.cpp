@@ -74,7 +74,7 @@ std::vector<double> solve_zone(const AtomicModel& m, const Zone& z,
   la::CsrOperator op(csr);
   la::JacobiPreconditioner prec(csr);
   la::gmres(ctx, op, prec, rhs, x, std::min<std::size_t>(n, 60),
-            {2000, 1e-12, 0.0});
+            {.max_iters = 2000, .rel_tol = 1e-12});
   return x;
 }
 

@@ -8,10 +8,18 @@ namespace coe::la {
 
 CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets) {
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  auto less = [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  // Strictly ascending keys have exactly one sorted order, so sorting them
+  // could not change the result (AMG's strength graph and interpolation
+  // build such input).
+  const bool ascending =
+      std::adjacent_find(triplets.begin(), triplets.end(),
+                         [&](const Triplet& a, const Triplet& b) {
+                           return !less(a, b);
+                         }) == triplets.end();
+  if (!ascending) std::sort(triplets.begin(), triplets.end(), less);
   CsrMatrix m(rows, cols);
   m.colind_.reserve(triplets.size());
   m.values_.reserve(triplets.size());

@@ -31,10 +31,9 @@ struct SolveOptions {
   /// change — the arithmetic per element is unchanged, so results are
   /// bitwise identical to the unfused path on deterministic backends.
   bool fused = false;
-  /// Optional span sink (appended last: positional initializers predate
-  /// it). When set, cg() wraps the solve in a "cg" prof::Scope with
-  /// "spmv" / "precond" / "blas1" children, so profiled benches get a
-  /// per-stage predicted-vs-measured skew for the solver.
+  /// Optional span sink. When set, cg() wraps the solve in a "cg"
+  /// prof::Scope with "spmv" / "precond" / "blas1" children, so profiled
+  /// benches get a per-stage predicted-vs-measured skew for the solver.
   prof::Profiler* profiler = nullptr;
   /// CG only: ABFT residual guard. Every `abft_every` iterations (0:
   /// never) the true residual b - A x is recomputed and compared against
@@ -53,8 +52,9 @@ struct SolveOptions {
   /// system can plug in a collective (e.g. net::allreduce_sum on their
   /// communicator). Unset = single-domain solve, values pass through
   /// untouched. The hook must reduce elementwise and identically on all
-  /// ranks. Only CG (cg() and Pcg) honors it.
-  std::function<void(std::span<double>)> reduce;
+  /// ranks. Only CG (cg() and Pcg) honors it. (The `= {}` lets a
+  /// designated initializer omit it without -Wmissing-field-initializers.)
+  std::function<void(std::span<double>)> reduce = {};
   /// CG only, comm-avoiding: combine the iteration's two reduction rounds
   /// (the ||r||^2 convergence check and the preconditioned r.z product)
   /// into ONE 2-wide call of `reduce` per iteration, halving the

@@ -170,7 +170,8 @@ IterationInfo TopOpt::iterate() {
 
   std::fill(u_.begin(), u_.end(), 0.0);
   auto res = la::cg(*ctx_, op, prec, f_, u_,
-                    {cfg_.cg_max_iters, cfg_.cg_tol, 0.0});
+                    {.max_iters = cfg_.cg_max_iters,
+                     .rel_tol = cfg_.cg_tol});
   info.cg_iters = res.iterations;
 
   // Compliance and sensitivities.

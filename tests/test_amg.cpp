@@ -108,7 +108,7 @@ TEST(BoomerAmg, PreconditionsCgFasterThanJacobi) {
   const std::size_t n = a.rows();
   std::vector<double> b(n, 1.0);
   la::CsrOperator op(a);
-  la::SolveOptions opts{1000, 1e-8, 0.0};
+  la::SolveOptions opts{.max_iters = 1000, .rel_tol = 1e-8};
 
   auto ctx1 = core::make_seq();
   std::vector<double> x1(n, 0.0);

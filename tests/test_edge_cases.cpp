@@ -63,7 +63,7 @@ TEST(EdgeCase, CgReportsNonConvergenceHonestly) {
   auto ctx = core::make_seq();
   la::CsrOperator op(a);
   la::IdentityPreconditioner id;
-  auto res = la::cg(ctx, op, id, b, x, {3, 1e-14, 0.0});
+  auto res = la::cg(ctx, op, id, b, x, {.max_iters = 3, .rel_tol = 1e-14});
   // Either it solved the (diagonal) system exactly or reported failure;
   // it must not report convergence with a bad residual.
   if (res.converged) {
@@ -82,7 +82,8 @@ TEST(EdgeCase, GmresOnIdentityConvergesImmediately) {
   auto ctx = core::make_seq();
   la::CsrOperator op(a);
   la::IdentityPreconditioner id;
-  auto res = la::gmres(ctx, op, id, b, x, 5, {50, 1e-12, 0.0});
+  auto res =
+      la::gmres(ctx, op, id, b, x, 5, {.max_iters = 50, .rel_tol = 1e-12});
   EXPECT_TRUE(res.converged);
   EXPECT_LE(res.iterations, 2u);
   EXPECT_NEAR(x[2], 3.0, 1e-10);

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "core/rng.hpp"
 #include "fem/fem.hpp"
@@ -115,6 +116,42 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(2, 4), std::make_tuple(4, 3),
                       std::make_tuple(2, 6)));
 
+// One case per order-specialised partial-assembly kernel.
+class EveryOrder : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EveryOrder, PartialMatchesFull) {
+  const std::size_t p = GetParam();
+  fem::TensorMesh2D mesh(2, 3, p);
+  fem::EllipticOperator pa(mesh, fem::Assembly::Partial, 0.3, 1.7);
+  fem::EllipticOperator fa(mesh, fem::Assembly::Full, 0.3, 1.7);
+  auto kappa = [](double x, double y) { return 1.0 + x + 0.5 * y * y; };
+  pa.set_kappa(kappa);
+  fa.set_kappa(kappa);
+
+  core::Rng rng(7);
+  std::vector<double> x(mesh.num_dofs()), y1(mesh.num_dofs()),
+      y2(mesh.num_dofs());
+  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
+  auto ctx = core::make_seq();
+  pa.apply(ctx, x, y1);
+  fa.apply(ctx, x, y2);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_NEAR(y1[i], y2[i], 1e-12) << "p=" << p << " dof " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders1To10, EveryOrder,
+                         ::testing::Range<std::size_t>(1, 11));
+
+TEST(Elliptic, RejectsOrdersOutsideKernelBound) {
+  fem::TensorMesh2D p0(2, 2, 0), p10(1, 1, 10), p11(1, 1, 11);
+  EXPECT_THROW(fem::EllipticOperator(p0, fem::Assembly::Partial, 1.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(fem::EllipticOperator(p11, fem::Assembly::Full, 1.0, 1.0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(fem::EllipticOperator(p10, fem::Assembly::Partial, 1.0, 1.0));
+}
+
 TEST(Elliptic, ThreadsBackendMatchesSeq) {
   fem::TensorMesh2D mesh(5, 5, 3);
   fem::EllipticOperator pa(mesh, fem::Assembly::Partial, 1.0, 1.0);
@@ -208,7 +245,7 @@ TEST(Elliptic, GalerkinSolveConvergesWithOrder) {
     mass.apply(ctx, fn, b);
     for (std::size_t bd : mesh.boundary_dofs()) b[bd] = 0.0;
     la::JacobiPreconditioner prec(op.assembled_matrix());
-    la::cg(ctx, op, prec, b, u, {4000, 1e-12, 0.0});
+    la::cg(ctx, op, prec, b, u, {.max_iters = 4000, .rel_tol = 1e-12});
     double err = 0.0;
     for (std::size_t ix = 0; ix < mesh.ndof_x(); ++ix) {
       for (std::size_t iy = 0; iy < mesh.ndof_y(); ++iy) {
@@ -253,7 +290,7 @@ TEST(Lor, SpectrallyEquivalentPreconditioner) {
       b[i] = mesh.is_boundary(i) ? 0.0 : 1.0;
     }
     auto ctx = core::make_seq();
-    auto res = la::cg(ctx, op, prec, b, x, {200, 1e-8, 0.0});
+    auto res = la::cg(ctx, op, prec, b, x, {.max_iters = 200, .rel_tol = 1e-8});
     ASSERT_TRUE(res.converged) << "p=" << p;
     EXPECT_LT(res.iterations, 30u) << "p=" << p;
   }
@@ -315,7 +352,7 @@ TEST(Elliptic, AmgOnLorCutsCgIterationsOnStiffSystem) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     b[i] = mesh.is_boundary(i) ? 0.0 : 1.0;
   }
-  la::SolveOptions opts{2000, 1e-8, 0.0};
+  la::SolveOptions opts{.max_iters = 2000, .rel_tol = 1e-8};
 
   auto ctx1 = core::make_seq();
   std::vector<double> x1(mesh.num_dofs(), 0.0);

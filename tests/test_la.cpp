@@ -4,8 +4,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -92,6 +94,75 @@ TEST(Csr, FromTripletsSumsDuplicates) {
   auto d = m.diagonal();
   EXPECT_DOUBLE_EQ(d[0], 3.0);
   EXPECT_DOUBLE_EQ(d[1], 5.0);
+}
+
+bool same_csr(const la::CsrMatrix& a, const la::CsrMatrix& b) {
+  auto bits_equal = [](auto x, auto y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
+  };
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         bits_equal(a.rowptr(), b.rowptr()) &&
+         bits_equal(a.colind(), b.colind()) &&
+         bits_equal(a.values(), b.values());
+}
+
+TEST(Csr, FromTripletsAscendingInputMatchesShuffledCopy) {
+  core::Rng rng(23);
+  const std::size_t n = 60;
+  std::vector<la::Triplet> ascending;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.uniform() < 0.2) {
+        ascending.push_back({i, j, rng.uniform(-1.0, 1.0)});
+      }
+    }
+  }
+  auto shuffled = ascending;
+  for (std::size_t k = shuffled.size(); k > 1; --k) {
+    std::swap(shuffled[k - 1], shuffled[rng.next_u64() % k]);
+  }
+  EXPECT_TRUE(same_csr(la::CsrMatrix::from_triplets(n, n, ascending),
+                       la::CsrMatrix::from_triplets(n, n, shuffled)));
+}
+
+TEST(Csr, FromTripletsSortedDuplicatesSumInStdSortOrder) {
+  // Sorted but not strictly ascending: the duplicates must still go
+  // through std::sort, whose unstable order fixes how they are summed.
+  core::Rng rng(29);
+  std::vector<la::Triplet> trips;
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (std::size_t k = 0; k < 200; ++k) {
+        trips.push_back({r, c, rng.uniform(-1.0, 1.0) *
+                                   std::ldexp(1.0, int(rng.next_u64() % 60))});
+      }
+    }
+  }
+  auto less = [](const la::Triplet& a, const la::Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  };
+  auto ref = trips;
+  std::sort(ref.begin(), ref.end(), less);
+  bool permuted = false;
+  for (std::size_t k = 0; k < ref.size(); ++k) {
+    permuted |= ref[k].value != trips[k].value;
+  }
+  ASSERT_TRUE(permuted) << "std::sort kept the input order; the test "
+                           "cannot tell the sort path from a skipped sort";
+
+  la::CsrMatrix want(3, 2);
+  for (std::size_t k = 0; k < ref.size();) {
+    double v = 0.0;
+    const std::size_t r = ref[k].row, c = ref[k].col;
+    for (; k < ref.size() && ref[k].row == r && ref[k].col == c; ++k) {
+      v += ref[k].value;
+    }
+    want.colind_mut().push_back(static_cast<std::uint32_t>(c));
+    want.values_mut().push_back(v);
+    want.rowptr_mut()[r + 1] = want.colind_mut().size();
+  }
+  EXPECT_TRUE(same_csr(la::CsrMatrix::from_triplets(3, 2, trips), want));
 }
 
 TEST(Csr, SpmvMatchesDense) {
@@ -199,7 +270,7 @@ TEST_P(KrylovPoisson, CgConverges) {
   a.spmv(ctx, x_true, b);
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
-  auto res = la::cg(ctx, op, prec, b, x, {2000, 1e-10, 0.0});
+  auto res = la::cg(ctx, op, prec, b, x, {.max_iters = 2000, .rel_tol = 1e-10});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-6);
 }
@@ -235,7 +306,8 @@ TEST(Krylov, BicgstabSolvesNonsymmetric) {
   a.spmv(ctx, x_true, b);
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
-  auto res = la::bicgstab(ctx, op, prec, b, x, {500, 1e-12, 0.0});
+  auto res = la::bicgstab(ctx, op, prec, b, x,
+                          {.max_iters = 500, .rel_tol = 1e-12});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
@@ -256,7 +328,8 @@ TEST(Krylov, GmresSolvesNonsymmetric) {
   a.spmv(ctx, x_true, b);
   la::CsrOperator op(a);
   la::JacobiPreconditioner prec(a);
-  auto res = la::gmres(ctx, op, prec, b, x, 20, {500, 1e-12, 0.0});
+  auto res = la::gmres(ctx, op, prec, b, x, 20,
+                       {.max_iters = 500, .rel_tol = 1e-12});
   ASSERT_TRUE(res.converged);
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-7);
 }
