@@ -1,16 +1,18 @@
-// Output fingerprints for the FEM/AMG path: CRC32s of the field bytes the
-// elliptic operator and the nonlinear diffusion driver produce, plus the
-// exact simulated clock (as a hexfloat) and counters, compared with
-// committed constants. A speed or simplicity change that claims bitwise
+// Output fingerprints for the FEM/AMG and AMR paths: CRC32s of the field
+// bytes the elliptic operator, the nonlinear diffusion driver and the
+// CleverLeaf Euler solver produce, plus the exact simulated clock (as a
+// hexfloat) and counters, compared with committed constants. A speed or simplicity change that claims bitwise
 // outputs must pass these unedited; a change that moves an output on
 // purpose updates the constant and says why.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "amr/two_level.hpp"
 #include "core/crc32.hpp"
 #include "core/rng.hpp"
 #include "fem/fem.hpp"
@@ -123,6 +125,123 @@ TEST(Fingerprint, NonlinearDiffusionWithJacobi) {
   expect_print(diffusion_print(false),
                {0x9aad7d4du, "0x1.a36f43979c282p-5", "0x1.58ded2p+25",
                 "0x1.52375p+24", 8528, 352, 204, 16});
+}
+
+// CRC32 of every patch's four conserved fields over the whole ghosted box,
+// in storage order (i outer, j inner), chained patch by patch.
+std::uint32_t crc_of(const amr::PatchLevel& level, std::uint32_t seed = 0) {
+  std::vector<double> v;
+  for (std::size_t p = 0; p < level.num_patches(); ++p) {
+    const auto& patch = level.patch(p);
+    const amr::Box gb = patch.box().grown(patch.ghost());
+    for (const char* name : {amr::EulerSolver::kRho, amr::EulerSolver::kMx,
+                             amr::EulerSolver::kMy, amr::EulerSolver::kE}) {
+      const auto& f = patch.field(name);
+      v.clear();
+      for (std::int64_t i = gb.ilo; i <= gb.ihi; ++i) {
+        for (std::int64_t j = gb.jlo; j <= gb.jhi; ++j) v.push_back(f.at(i, j));
+      }
+      seed = core::crc32(v, seed);
+    }
+  }
+  return seed;
+}
+
+struct AmrPrint {
+  std::uint32_t dts, fields;
+  std::string sim_seconds, flops, bytes;
+  std::uint64_t launches;
+};
+
+AmrPrint amr_print(const core::ExecContext& ctx, const std::vector<double>& dts,
+                   std::uint32_t fields) {
+  return {core::crc32(dts),
+          fields,
+          hexfloat(ctx.simulated_time()),
+          hexfloat(ctx.counters().flops),
+          hexfloat(ctx.counters().bytes),
+          ctx.counters().launches};
+}
+
+void expect_print(const AmrPrint& got, const AmrPrint& want) {
+  EXPECT_EQ(got.dts, want.dts);
+  EXPECT_EQ(got.fields, want.fields);
+  EXPECT_EQ(got.sim_seconds, want.sim_seconds);
+  EXPECT_EQ(got.flops, want.flops);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.launches, want.launches);
+}
+
+// A Sod tube on an outflow level cut unevenly into four patches, with a
+// transverse velocity that varies along j, so the y-fluxes, `my` and every
+// patch edge (ghost exchange, wall clamping, corners) carry real data.
+TEST(Fingerprint, EulerSodFourPatchesOutflow) {
+  core::MemoryPool pool;
+  amr::PatchLevel level(pool, amr::Box{0, 0, 47, 39}, 2,
+                        amr::BoundaryKind::Outflow);
+  level.add_patch(amr::Box{0, 0, 19, 12});
+  level.add_patch(amr::Box{20, 0, 47, 12});
+  level.add_patch(amr::Box{0, 13, 19, 39});
+  level.add_patch(amr::Box{20, 13, 47, 39});
+  auto ctx = core::make_device();
+  amr::EulerConfig cfg;
+  cfg.dx = 1.0 / 48.0;
+  cfg.dy = 1.0 / 40.0;
+  amr::EulerSolver solver(ctx, level, cfg);
+  solver.init([](std::int64_t i, std::int64_t j) {
+    amr::PrimState s = amr::sod_state(i, 24);
+    s.u = 0.05;
+    s.v = 0.25 - 0.01 * double(j);
+    return s;
+  });
+  std::vector<double> dts;
+  for (int s = 0; s < 30; ++s) {
+    dts.push_back(solver.compute_dt());
+    solver.step(dts.back());
+  }
+  EXPECT_TRUE(std::isfinite(solver.total_energy()));
+  EXPECT_EQ(hexfloat(solver.time()), "0x1.04ed93bdc16fdp-3");
+  expect_print(amr_print(ctx, dts, crc_of(level)),
+               {0x164c298fu, 0x24cbed5fu, "0x1.86e8bced5bb9p-11",
+                "0x1.82b8p+23", "0x1.194p+24", 120});
+}
+
+// Two levels on a periodic domain: coarse and fine levels of two patches
+// each, so a step runs prolong_into (from either coarse patch), the fine
+// sibling exchange and restrict_onto.
+TEST(Fingerprint, TwoLevelEulerPeriodic) {
+  core::MemoryPool pool;
+  amr::PatchLevel coarse(pool, amr::Box{0, 0, 15, 15}, 2,
+                         amr::BoundaryKind::Periodic);
+  coarse.add_patch(amr::Box{0, 0, 7, 15});
+  coarse.add_patch(amr::Box{8, 0, 15, 15});
+  amr::PatchLevel fine(pool, amr::Box{0, 0, 31, 31}, 2,
+                       amr::BoundaryKind::Periodic);
+  fine.add_patch(amr::Box{8, 8, 15, 23});
+  fine.add_patch(amr::Box{16, 8, 23, 23});
+  auto ctx = core::make_device();
+  amr::EulerConfig cfg;
+  cfg.dx = cfg.dy = 1.0 / 16.0;
+  amr::TwoLevelEuler sim(ctx, coarse, fine, 2, cfg);
+  sim.init([](double x, double y) {
+    amr::PrimState s;
+    s.rho = 1.0 + 0.5 / (1.0 + (x - 8.0) * (x - 8.0) + (y - 7.0) * (y - 7.0));
+    s.u = 0.3;
+    s.v = -0.2;
+    s.p = s.rho;
+    return s;
+  });
+  std::vector<double> dts;
+  for (int s = 0; s < 10; ++s) {
+    dts.push_back(sim.compute_dt());
+    sim.step(dts.back());
+  }
+  EXPECT_TRUE(std::isfinite(sim.coarse_solver().total_energy()));
+  EXPECT_TRUE(std::isfinite(sim.fine_solver().total_energy()));
+  EXPECT_EQ(hexfloat(sim.time()), "0x1.4d956ae7e9633p-3");
+  expect_print(amr_print(ctx, dts, crc_of(fine, crc_of(coarse))),
+               {0x952315eeu, 0xcbad853cu, "0x1.7d11061b0578p-12",
+                "0x1.9c8p+20", "0x1.2cp+21", 60});
 }
 
 }  // namespace
