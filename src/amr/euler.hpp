@@ -58,6 +58,10 @@ class EulerSolver {
   static const char* kE;
 
  private:
+  /// Sum of `field` over every interior cell (compensated), times the
+  /// cell area.
+  double integral(const char* field) const;
+
   core::ExecContext* ctx_;
   PatchLevel* level_;
   EulerConfig cfg_;

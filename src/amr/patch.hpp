@@ -61,8 +61,8 @@ struct Box {
 class PatchField {
  public:
   PatchField(core::MemoryPool& pool, const Box& interior, std::int64_t ghost)
-      : interior_(interior), ghost_(ghost),
-        data_(pool, interior.grown(ghost).size()) {
+      : interior_(interior), ghost_(ghost), grown_(interior.grown(ghost)),
+        data_(pool, grown_.size()) {
     for (std::size_t k = 0; k < data_.size(); ++k) data_[k] = 0.0;
   }
 
@@ -70,10 +70,9 @@ class PatchField {
   std::int64_t ghost() const { return ghost_; }
 
   double& at(std::int64_t i, std::int64_t j) {
-    const Box gb = interior_.grown(ghost_);
-    assert(gb.contains(i, j));
-    return data_[static_cast<std::size_t>((i - gb.ilo) * gb.nj() +
-                                          (j - gb.jlo))];
+    assert(grown_.contains(i, j));
+    return data_[static_cast<std::size_t>((i - grown_.ilo) * grown_.nj() +
+                                          (j - grown_.jlo))];
   }
   double at(std::int64_t i, std::int64_t j) const {
     return const_cast<PatchField*>(this)->at(i, j);
@@ -82,6 +81,7 @@ class PatchField {
  private:
   Box interior_;
   std::int64_t ghost_;
+  Box grown_;  // interior_ grown by ghost_: the stored index space
   core::PoolArray<double> data_;
 };
 
@@ -120,7 +120,8 @@ class Patch {
 
 enum class BoundaryKind { Periodic, Outflow };
 
-/// One refinement level: patches tiling (part of) the domain.
+/// One refinement level: patches tiling (part of) the domain. Every lookup
+/// of a cell takes the first patch (in insertion order) that contains it.
 class PatchLevel {
  public:
   PatchLevel(core::MemoryPool& pool, Box domain, std::int64_t ghost,
@@ -147,6 +148,9 @@ class PatchLevel {
   double value_at(const std::string& field, std::int64_t i,
                   std::int64_t j) const;
   bool covers(std::int64_t i, std::int64_t j) const;
+  /// Index of the first patch whose box contains (i, j), or num_patches()
+  /// if none does.
+  std::size_t find_patch(std::int64_t i, std::int64_t j) const;
 
  private:
   core::MemoryPool* pool_;

@@ -1,6 +1,7 @@
 #include "fem/mesh.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace coe::fem {
 
@@ -27,7 +28,10 @@ TensorMesh2D::TensorMesh2D(std::vector<double> xlines,
 }
 
 void TensorMesh2D::build(std::size_t order) {
-  assert(order >= 1);
+  // Order 0 would give one dof per axis, all of it boundary.
+  if (order < 1) {
+    throw std::invalid_argument("TensorMesh2D: order must be at least 1");
+  }
   const auto gll = gll_nodes(order);
   xcoord_.resize(ndof_x());
   ycoord_.resize(ndof_y());

@@ -77,6 +77,13 @@ TEST(Mesh, DofCountsAndBoundary) {
   EXPECT_EQ(mesh.elem_dof(0, 0, 2, 0), mesh.elem_dof(1, 0, 0, 0));
 }
 
+TEST(Mesh, RejectsOrderZero) {
+  EXPECT_THROW(fem::TensorMesh2D(3, 2, 0), std::invalid_argument);
+  EXPECT_THROW(fem::TensorMesh2D({0.0, 0.5, 1.0}, {0.0, 1.0}, 0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(fem::TensorMesh2D({0.0, 0.5, 1.0}, {0.0, 1.0}, 1));
+}
+
 TEST(Mesh, CoordinatesSpanUnitSquare) {
   fem::TensorMesh2D mesh(3, 3, 4);
   EXPECT_DOUBLE_EQ(mesh.dof_x(0), 0.0);
@@ -144,9 +151,9 @@ INSTANTIATE_TEST_SUITE_P(Orders1To10, EveryOrder,
                          ::testing::Range<std::size_t>(1, 11));
 
 TEST(Elliptic, RejectsOrdersOutsideKernelBound) {
-  fem::TensorMesh2D p0(2, 2, 0), p10(1, 1, 10), p11(1, 1, 11);
-  EXPECT_THROW(fem::EllipticOperator(p0, fem::Assembly::Partial, 1.0, 1.0),
-               std::invalid_argument);
+  // Order 0 is rejected by the mesh, before any operator sees it.
+  EXPECT_THROW(fem::TensorMesh2D(2, 2, 0), std::invalid_argument);
+  fem::TensorMesh2D p10(1, 1, 10), p11(1, 1, 11);
   EXPECT_THROW(fem::EllipticOperator(p11, fem::Assembly::Full, 1.0, 1.0),
                std::invalid_argument);
   EXPECT_NO_THROW(fem::EllipticOperator(p10, fem::Assembly::Partial, 1.0, 1.0));
