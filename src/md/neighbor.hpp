@@ -19,8 +19,12 @@ class NeighborList {
  public:
   NeighborList(double rcut, double skin) : rcut_(rcut), skin_(skin) {}
 
-  /// Rebuilds from scratch; O(N) with cell lists.
-  void build(core::ExecContext& ctx, const Particles& p, const Box& box);
+  /// Rebuilds rows [row_lo, row_hi) from scratch (row_hi is clamped to n);
+  /// O(N) with cell lists. Rows outside the range are left empty, and each
+  /// built row holds exactly the neighbors a full build gives it, in the
+  /// same order. The default range is the full list.
+  void build(core::ExecContext& ctx, const Particles& p, const Box& box,
+             std::size_t row_lo = 0, std::size_t row_hi = SIZE_MAX);
 
   /// Brute-force O(N^2) reference builder (tests/ablation).
   void build_n2(core::ExecContext& ctx, const Particles& p, const Box& box);

@@ -6,15 +6,15 @@
 
 namespace coe::md {
 
-void MdReplica::partial_forces(core::ExecContext& ctx, std::size_t lo,
-                               std::size_t hi) {
+void MdReplica::partial_forces(core::ExecContext& ctx) {
   if (!nl_built_ || nl_.needs_rebuild(p_, box_)) {
-    nl_.build(ctx, p_, box_);
+    nl_.build(ctx, p_, box_, lo_, hi_);
     nl_built_ = true;
   }
   const std::size_t n = p_.n;
   p_.zero_forces();
-  const PairResult pr = compute_pair_forces(ctx, p_, box_, nl_, pot_, lo, hi);
+  const PairResult pr =
+      compute_pair_forces(ctx, p_, box_, nl_, pot_, lo_, hi_);
   std::copy(p_.fx.begin(), p_.fx.end(), agg_.begin());
   std::copy(p_.fy.begin(), p_.fy.end(), agg_.begin() + n);
   std::copy(p_.fz.begin(), p_.fz.end(), agg_.begin() + 2 * n);

@@ -15,12 +15,8 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
 
   result.traffic = mpi::run(ranks, [&](mpi::Communicator& comm) {
     core::ExecContext ctx;
-    MdReplica rep(cfg);
+    MdReplica rep(cfg, comm.rank(), ranks);
     const std::size_t n = rep.n();
-    const auto nr = static_cast<std::size_t>(ranks);
-    const auto r = static_cast<std::size_t>(comm.rank());
-    const std::size_t lo = n * r / nr;
-    const std::size_t hi = n * (r + 1) / nr;
 
     net::NetStats stats;
     net::RankLogger logger(cfg.log, comm.rank());
@@ -37,7 +33,7 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
     // either one (3n+2)-wide collective carrying forces + energy + virial,
     // or the five-round separate form.
     auto forces = [&] {
-      rep.partial_forces(ctx, lo, hi);
+      rep.partial_forces(ctx);
       log_compute();
       const std::span<double> agg = rep.agg();
       if (cfg.aggregate) {

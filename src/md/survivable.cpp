@@ -24,18 +24,13 @@ SurvivableMdResult survivable_md_run(const SurvivableMdConfig& cfg) {
       phoenix::survivable_config(cfg, cfg.steps + 1);
 
   phoenix::SurvivableHooks hooks;
-  hooks.make = [&cfg](phoenix::RankContext&, int) {
-    return std::make_unique<MdReplica>(cfg);
+  hooks.make = [&cfg](phoenix::RankContext&, int p) {
+    return std::make_unique<MdReplica>(cfg, p, cfg.workers);
   };
   // One force evaluation: partial row-slice forces on every owned part,
   // one (3n+2)-wide part-tree reduction, result adopted by every replica.
-  auto forces = [&cfg](phoenix::RankContext& rc) {
-    const auto np = static_cast<std::size_t>(cfg.workers);
-    for (int p : rc.owned()) {
-      MdReplica& m = replica(rc, p);
-      const auto r = static_cast<std::size_t>(p);
-      m.partial_forces(rc.ctx(), m.n() * r / np, m.n() * (r + 1) / np);
-    }
+  auto forces = [](phoenix::RankContext& rc) {
+    for (int p : rc.owned()) replica(rc, p).partial_forces(rc.ctx());
     rc.log_compute();
     rc.part_allreduce(phoenix::RankContext::kChanApp, [&rc](int p) {
       return replica(rc, p).agg();

@@ -6,7 +6,8 @@
 // arrays are summed by the driver's fixed binary part-tree (real p2p
 // messages, association independent of the part->rank mapping), so a run
 // that rides through a rank kill replays to a bitwise-identical trajectory.
-// The checkpoint blob is the replica's, neighbor list included.
+// The checkpoint blob is the replica's, its slice of the neighbor list
+// included.
 
 #include <cstddef>
 #include <cstdint>

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "md/md.hpp"
 
@@ -67,6 +70,65 @@ TEST(Neighbor, CellListMatchesBruteForce) {
               b.row_ptr()[i + 1] - b.row_ptr()[i]);
     for (std::size_t k = a.row_ptr()[i]; k < a.row_ptr()[i + 1]; ++k) {
       EXPECT_EQ(a.pair_j()[k], b.pair_j()[k]);
+    }
+  }
+}
+
+// A row-range build gives each row of its slice exactly the full list's
+// row, and nothing outside it, with one cell a side (every neighbour offset
+// aliased onto it), two and three or more. The full list itself matches
+// the brute-force one row by row.
+TEST(NeighborList, RowSliceMatchesFullListRows) {
+  struct Case {
+    std::size_t per_side;
+    double rcut, skin;
+    std::size_t ncell;
+  };
+  for (const Case c : {Case{3, 1.7, 0.3, 1}, Case{3, 1.2, 0.3, 2},
+                       Case{3, 0.8, 0.2, 3}, Case{5, 1.0, 0.3, 4}}) {
+    core::Rng rng(8);
+    md::Particles p;
+    md::Box box;
+    md::init_lattice(p, box, c.per_side, 0.8, 1.0, rng);
+    for (auto* v : {&p.x, &p.y, &p.z}) {
+      for (double& x : *v) x = box.fold(x + rng.uniform(-0.2, 0.2));
+    }
+    ASSERT_EQ(static_cast<std::size_t>(box.length / (c.rcut + c.skin)),
+              c.ncell);
+    auto ctx = core::make_seq();
+    md::NeighborList full(c.rcut, c.skin);
+    full.build(ctx, p, box);
+    auto row = [](const md::NeighborList& nl, std::size_t i) {
+      const auto r = nl.row_ptr();
+      const auto j = nl.pair_j();
+      return std::vector<std::uint32_t>(j.begin() + r[i],
+                                        j.begin() + r[i + 1]);
+    };
+    md::NeighborList brute(c.rcut, c.skin);
+    brute.build_n2(ctx, p, box);
+    for (std::size_t i = 0; i < p.n; ++i) {
+      EXPECT_EQ(row(full, i), row(brute, i)) << "ncell=" << c.ncell;
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> slices = {{5, 5}};
+    for (std::size_t r = 0; r < 4; ++r) {
+      slices.emplace_back(p.n * r / 4, p.n * (r + 1) / 4);  // uneven at 27
+    }
+    for (const auto& [lo, hi] : slices) {
+      SCOPED_TRACE(testing::Message() << "ncell=" << c.ncell << " rows=["
+                                      << lo << ", " << hi << ")");
+      md::NeighborList part(c.rcut, c.skin);
+      part.build(ctx, p, box, lo, hi);
+      ASSERT_EQ(part.row_ptr().size(), p.n + 1);
+      std::size_t pairs = 0;
+      for (std::size_t i = 0; i < p.n; ++i) {
+        if (i >= lo && i < hi) {
+          EXPECT_EQ(row(part, i), row(full, i)) << "row " << i;
+          pairs += row(full, i).size();
+        } else {
+          EXPECT_TRUE(row(part, i).empty()) << "row " << i;
+        }
+      }
+      EXPECT_EQ(part.num_pairs(), pairs);
     }
   }
 }
