@@ -68,7 +68,9 @@ TEST(Scheduler, QuotaReservesGpusForLongJobs) {
   sched::Simulator sjf({4, sched::Policy::Sjf, 50.0, 2});
   sjf.run(jobs);
   for (const auto& o : sjf.outcomes()) {
-    if (o.job.duration >= 50.0) EXPECT_GT(o.start_time, 0.0);
+    if (o.job.duration >= 50.0) {
+      EXPECT_GT(o.start_time, 0.0);
+    }
   }
 }
 
