@@ -219,13 +219,6 @@ BoomerAmg::BoomerAmg(la::CsrMatrix a_fine, const AmgOptions& opts)
   coarse_lu_ = std::make_unique<la::LuFactor>(dense);
 }
 
-double BoomerAmg::grid_complexity() const {
-  double fine = static_cast<double>(levels_[0].a.rows());
-  double total = 0.0;
-  for (const auto& l : levels_) total += static_cast<double>(l.a.rows());
-  return total / fine;
-}
-
 double BoomerAmg::operator_complexity() const {
   double fine = static_cast<double>(levels_[0].a.nnz());
   double total = 0.0;

@@ -69,8 +69,7 @@ class BoomerAmg final : public la::Preconditioner {
   std::size_t num_levels() const { return levels_.size(); }
   const AmgLevel& level(std::size_t l) const { return levels_[l]; }
 
-  /// Total grid + operator complexity (classic AMG health metrics).
-  double grid_complexity() const;
+  /// Total operator complexity (the classic AMG health metric).
   double operator_complexity() const;
 
   /// One V(pre,post)-cycle applied to r, result in z (z initialized to 0).

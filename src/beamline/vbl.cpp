@@ -72,10 +72,6 @@ void Beamline::propagate(double distance) {
   for (std::size_t s = 0; s < steps; ++s) step();
 }
 
-double Beamline::intensity(std::size_t i, std::size_t j) const {
-  return std::norm(e_[i * cfg_.n + j]);
-}
-
 double Beamline::total_power() const {
   double p = 0.0;
   for (const auto& v : e_) p += std::norm(v);

@@ -42,7 +42,6 @@ class Beamline {
   /// Propagate a total distance (multiple steps).
   void propagate(double distance);
 
-  double intensity(std::size_t i, std::size_t j) const;
   /// Total power sum |E|^2 dA.
   double total_power() const;
   /// RMS intensity radius (beam width measure).

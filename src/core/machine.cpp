@@ -119,18 +119,6 @@ MachineModel knl_node() {
   return m;
 }
 
-MachineModel bgq_node() {
-  MachineModel m;
-  m.name = "BG/Q node";
-  m.kind = ProcessorKind::Cpu;
-  m.peak_flops = 204.8e9;
-  m.mem_bw = 42.7e9;
-  m.flop_efficiency = 0.55;
-  m.bw_efficiency = 0.70;
-  m.mem_capacity = 16ull << 30;
-  return m;
-}
-
 MachineModel cpu_2011() {
   MachineModel m;
   m.name = "2011 dual-socket node";

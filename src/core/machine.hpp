@@ -63,7 +63,6 @@ MachineModel p100();          ///< Pascal P100, NVLink1 host link
 MachineModel v100();          ///< Volta V100, NVLink2 host link
 MachineModel k40();           ///< early visualization-cluster GPU
 MachineModel knl_node();      ///< Cori-II Xeon Phi 7250 node
-MachineModel bgq_node();      ///< Blue Gene/Q node (historical graph rows)
 MachineModel cpu_2011();      ///< ~2011 dual-socket node (Table 2 history)
 MachineModel cpu_2014();      ///< ~2014 dual-socket node (Table 2 history)
 MachineModel host();          ///< the real host this build runs on

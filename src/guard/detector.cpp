@@ -147,12 +147,6 @@ std::size_t DetectorSet::trips() const {
   return n;
 }
 
-double DetectorSet::check_seconds() const {
-  double s = 0.0;
-  for (const auto& d : detectors_) s += d->stats().check_s;
-  return s;
-}
-
 void DetectorSet::set_sinks(obs::MetricsRegistry* metrics,
                             prof::Profiler* profiler) {
   metrics_ = metrics;

@@ -197,7 +197,6 @@ class DetectorSet {
 
   std::size_t checks() const;
   std::size_t trips() const;
-  double check_seconds() const;
 
   /// Propagated to every current and future member.
   void set_sinks(obs::MetricsRegistry* metrics, prof::Profiler* profiler);

@@ -26,8 +26,6 @@ void SdcInjector::add_target(std::string name, std::span<double> data,
   targets_.push_back(Target{std::move(name), data, on_device});
 }
 
-void SdcInjector::clear_targets() { targets_.clear(); }
-
 Corruption SdcInjector::flip(std::span<double> data, const std::string& name,
                              double now) {
   Corruption c;

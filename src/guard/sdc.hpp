@@ -74,7 +74,6 @@ class SdcInjector {
   /// storage, same size) for the injector's lifetime.
   void add_target(std::string name, std::span<double> data,
                   bool on_device = true);
-  void clear_targets();
 
   /// Advances the corruption clock to `now`; flips bits in one registered
   /// target if the clock fired. Returns the number of corruptions applied

@@ -174,28 +174,4 @@ CsrMatrix poisson2d(std::size_t nx, std::size_t ny) {
   return CsrMatrix::from_triplets(n, n, std::move(t));
 }
 
-CsrMatrix poisson3d(std::size_t nx, std::size_t ny, std::size_t nz) {
-  const std::size_t n = nx * ny * nz;
-  std::vector<Triplet> t;
-  t.reserve(7 * n);
-  auto id = [nx, ny](std::size_t i, std::size_t j, std::size_t k) {
-    return (k * ny + j) * nx + i;
-  };
-  for (std::size_t k = 0; k < nz; ++k) {
-    for (std::size_t j = 0; j < ny; ++j) {
-      for (std::size_t i = 0; i < nx; ++i) {
-        const std::size_t r = id(i, j, k);
-        t.push_back({r, r, 6.0});
-        if (i > 0) t.push_back({r, id(i - 1, j, k), -1.0});
-        if (i + 1 < nx) t.push_back({r, id(i + 1, j, k), -1.0});
-        if (j > 0) t.push_back({r, id(i, j - 1, k), -1.0});
-        if (j + 1 < ny) t.push_back({r, id(i, j + 1, k), -1.0});
-        if (k > 0) t.push_back({r, id(i, j, k - 1), -1.0});
-        if (k + 1 < nz) t.push_back({r, id(i, j, k + 1), -1.0});
-      }
-    }
-  }
-  return CsrMatrix::from_triplets(n, n, std::move(t));
-}
-
 }  // namespace coe::la

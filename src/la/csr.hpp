@@ -88,8 +88,7 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// 5-point / 7-point Poisson test matrices used across tests and benches.
+/// 5-point Poisson test matrix used across tests and benches.
 CsrMatrix poisson2d(std::size_t nx, std::size_t ny);
-CsrMatrix poisson3d(std::size_t nx, std::size_t ny, std::size_t nz);
 
 }  // namespace coe::la

@@ -17,11 +17,6 @@ void DenseMatrix::matvec(std::span<const double> x,
   }
 }
 
-void DenseMatrix::add_scaled(double a, const DenseMatrix& b) {
-  assert(rows_ == b.rows_ && cols_ == b.cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += a * b.data_[i];
-}
-
 DenseMatrix DenseMatrix::identity(std::size_t n) {
   DenseMatrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
@@ -85,11 +80,6 @@ void LuFactor::solve_many(std::span<double> rhs) const {
   for (std::size_t off = 0; off < rhs.size(); off += n) {
     solve(rhs.subspan(off, n));
   }
-}
-
-double LuFactor::factor_flops() const {
-  const double n = static_cast<double>(lu_.rows());
-  return 2.0 / 3.0 * n * n * n;
 }
 
 double LuFactor::solve_flops() const {

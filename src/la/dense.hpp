@@ -31,9 +31,6 @@ class DenseMatrix {
   /// y = A x (plain serial gemv).
   void matvec(std::span<const double> x, std::span<double> y) const;
 
-  /// this += a * B
-  void add_scaled(double a, const DenseMatrix& b);
-
   static DenseMatrix identity(std::size_t n);
 
  private:
@@ -56,8 +53,6 @@ class LuFactor {
   /// Solves for multiple right-hand sides stored contiguously (n each).
   void solve_many(std::span<double> rhs) const;
 
-  /// Flop count of the factorization (2/3 n^3) -- for cost annotation.
-  double factor_flops() const;
   /// Flop count of one triangular solve (2 n^2).
   double solve_flops() const;
 

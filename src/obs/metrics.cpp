@@ -47,11 +47,6 @@ std::map<std::string, double> MetricsRegistry::gauges() const {
   return gauges_;
 }
 
-std::map<std::string, HistogramStat> MetricsRegistry::histograms() const {
-  std::lock_guard<std::mutex> lk(mtx_);
-  return histograms_;
-}
-
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lk(mtx_);
   Json root = Json::object();

@@ -56,7 +56,6 @@ class MetricsRegistry {
   /// Snapshots for export.
   std::map<std::string, double> counters() const;
   std::map<std::string, double> gauges() const;
-  std::map<std::string, HistogramStat> histograms() const;
 
   /// Serializes the whole registry as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,max}}}
