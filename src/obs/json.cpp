@@ -130,12 +130,19 @@ std::string format_number(double v) {
 
 }  // namespace
 
+// Quoted strings are appended piece by piece: GCC 12 at -O3 reports a false
+// -Wrestrict overlap inside `"literal" + std::string&&` (GCC bug 105329).
 std::string Json::dump() const {
   switch (type_) {
     case Type::Null: return "null";
     case Type::Bool: return bool_ ? "true" : "false";
     case Type::Number: return format_number(num_);
-    case Type::String: return "\"" + escape(str_) + "\"";
+    case Type::String: {
+      std::string out = "\"";
+      out += escape(str_);
+      out += '"';
+      return out;
+    }
     case Type::Array: {
       std::string out = "[";
       for (std::size_t i = 0; i < arr_.size(); ++i) {
@@ -150,7 +157,10 @@ std::string Json::dump() const {
       for (const auto& [k, v] : obj_) {
         if (!first) out += ",";
         first = false;
-        out += "\"" + escape(k) + "\":" + v.dump();
+        out += '"';
+        out += escape(k);
+        out += "\":";
+        out += v.dump();
       }
       return out + "}";
     }

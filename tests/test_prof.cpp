@@ -17,6 +17,10 @@ namespace {
 
 using namespace coe;
 
+// GCC 12 at -O3 reports a false -Wrestrict overlap in the inlined
+// std::string assignments below (GCC bug 105329).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wrestrict"
 obs::TraceEvent kernel(double t0, double d, int stream,
                        const std::string& phase = "main") {
   obs::TraceEvent e;
@@ -30,6 +34,7 @@ obs::TraceEvent kernel(double t0, double d, int stream,
   e.stream = stream;
   return e;
 }
+#pragma GCC diagnostic pop
 
 obs::TraceEvent wait_marker(double t, int stream, std::int64_t dep) {
   obs::TraceEvent e;
