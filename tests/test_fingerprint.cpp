@@ -1,6 +1,8 @@
-// Output fingerprints for the FEM/AMG, AMR and MD paths: CRC32s of the
-// field bytes the elliptic operator, the nonlinear diffusion driver, the
-// CleverLeaf Euler solver and the MD drivers produce, plus the exact
+// Output fingerprints for the FEM/AMG, AMR, MD, wave, VBL and Cardioid
+// paths: CRC32s of the field bytes the elliptic operator, the nonlinear
+// diffusion driver, the CleverLeaf Euler solver, the MD drivers, the
+// serial wave solver, the VBL beamline and the monodomain driver produce,
+// plus the exact
 // simulated clock (as a hexfloat) and counters, compared with committed
 // constants. A speed or simplicity change that claims bitwise outputs must
 // pass these unedited; a change that moves an output on purpose updates the
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "amr/two_level.hpp"
+#include "beamline/vbl.hpp"
 #include "core/crc32.hpp"
 #include "core/rng.hpp"
 #include "fem/fem.hpp"
@@ -22,6 +25,8 @@
 #include "md/replicated.hpp"
 #include "md/survivable.hpp"
 #include "net/log.hpp"
+#include "reaction/monodomain.hpp"
+#include "stencil/wave.hpp"
 
 namespace {
 
@@ -356,6 +361,128 @@ TEST(Fingerprint, SurvivableMd) {
     EXPECT_EQ(hexfloat(r.kinetic), w.kinetic);
     EXPECT_EQ(hexfloat(r.virial), w.virial);
     EXPECT_EQ(r.report.stats.buddy_bytes, w.buddy_bytes);
+  }
+}
+
+struct ClockPrint {
+  std::string sim_seconds, flops, bytes;
+  std::uint64_t launches;
+};
+
+ClockPrint clock_print(const core::ExecContext& ctx) {
+  return {hexfloat(ctx.simulated_time()), hexfloat(ctx.counters().flops),
+          hexfloat(ctx.counters().bytes), ctx.counters().launches};
+}
+
+void expect_print(const ClockPrint& got, const ClockPrint& want) {
+  EXPECT_EQ(got.sim_seconds, want.sim_seconds);
+  EXPECT_EQ(got.flops, want.flops);
+  EXPECT_EQ(got.bytes, want.bytes);
+  EXPECT_EQ(got.launches, want.launches);
+}
+
+// The serial wave solver on a non-cubic grid in a heterogeneous medium,
+// with a host-computed point source whose upload rides a side stream and
+// the shake map on its own stream. Fused, the Laplacian and update run as
+// one fused3 launch; unfused, as two forall3 launches. The shake map runs
+// through forall2 either way.
+TEST(Fingerprint, WaveSolverStreamedHeterogeneous) {
+  struct Want {
+    bool fused;
+    std::uint32_t fields;
+    ClockPrint clock;
+  };
+  const Want want[] = {
+      {true, 0x96fd56d0u,
+       {"0x1.455818646f5fep-12", "0x1.c07c8p+19", "0x1.7fef8p+21", 75}},
+      {false, 0x96fd56d0u,
+       {"0x1.e378297beed91p-12", "0x1.c07c8p+19", "0x1.c63f8p+21", 100}},
+  };
+  for (const auto& w : want) {
+    SCOPED_TRACE(testing::Message() << "fused=" << w.fused);
+    auto ctx = core::make_device();
+    stencil::WaveOptions opts;
+    opts.fused = w.fused;
+    opts.use_streams = true;
+    opts.forcing_on_device = false;
+    stencil::WaveSolver wave(ctx, 12, 10, 8, 1.0, 1.0, opts);
+    wave.set_wave_speed([](double x, double y, double z) {
+      return 1.0 + 0.5 * x + 0.25 * y * z;
+    });
+    const double dt = wave.stable_dt();
+    wave.set_initial(
+        [](double x, double y, double z) {
+          const double r2 = (x - 0.4) * (x - 0.4) + (y - 0.6) * (y - 0.6) +
+                            (z - 0.5) * (z - 0.5);
+          return std::exp(-40.0 * r2);
+        },
+        [](double, double, double) { return 0.0; }, dt);
+    wave.add_source({3, 7, 2, 1.0, 10.0, 0.1});
+    for (int s = 0; s < 25; ++s) wave.step(dt);
+    std::uint32_t c = 0;
+    for (const auto& [name, f] : wave.sdc_targets()) c = core::crc32(f, c);
+    c = core::crc32(wave.shake_map(), c);
+    EXPECT_EQ(c, w.fields);
+    expect_print(clock_print(ctx), w.clock);
+  }
+}
+
+// VBL split-step propagation with a phase defect and saturating gain, so
+// every forall2 kernel of the beamline (beam, defect, diffraction phase,
+// amplifier) runs.
+TEST(Fingerprint, VblPropagation) {
+  auto ctx = core::make_device();
+  beamline::VblConfig cfg;
+  cfg.n = 32;
+  cfg.dz = 0.05;
+  cfg.gain0 = 0.5;
+  beamline::Beamline beam(ctx, cfg);
+  beam.set_gaussian(0.002);
+  beam.add_phase_defect(0.004, 0.006, 0.0005, 0.8);
+  beam.propagate(0.5);
+  const auto& e = beam.field();
+  EXPECT_EQ(core::crc32(e.data(), e.size() * sizeof(e[0])), 0x306c3680u);
+  expect_print(clock_print(ctx),
+               {"0x1.0800c6b535f65p-7", "0x1.408p+20", "0x1.ap+21", 1342});
+}
+
+// The Cardioid monodomain driver on a non-square sheet: diffusion runs
+// through forall2 on the device (AllGpu) or the host (SplitCpuDiffusion),
+// and the voltage update runs fused into the reaction kernel or beside it.
+TEST(Fingerprint, Monodomain) {
+  struct Want {
+    reaction::TissuePlacement placement;
+    bool fuse;
+    reaction::RateKind rates;
+    std::uint32_t cells;
+    ClockPrint device, host;
+  };
+  const Want want[] = {
+      {reaction::TissuePlacement::AllGpu, true, reaction::RateKind::Rational,
+       0xf893a7d7u,
+       {"0x1.3d9f7f65b732dp-9", "0x1.0923p+24", "0x1.77p+23", 400},
+       {"0x0p+0", "0x0p+0", "0x0p+0", 0}},
+      {reaction::TissuePlacement::SplitCpuDiffusion, false,
+       reaction::RateKind::Libm, 0xab313af5u,
+       {"0x1.3d2914f20b93ep-8", "0x1.bbd9p+24", "0x1.194p+23", 400},
+       {"0x1.5dd0fbb6c80ebp-16", "0x1.77p+19", "0x1.194p+22", 200}},
+  };
+  for (const auto& w : want) {
+    SCOPED_TRACE(testing::Message() << "fuse=" << w.fuse);
+    auto gpu = core::make_device();
+    auto cpu = core::make_cpu();
+    reaction::TissueConfig cfg;
+    cfg.nx = 24;
+    cfg.ny = 20;
+    cfg.rates = w.rates;
+    cfg.placement = w.placement;
+    cfg.fuse_reaction = w.fuse;
+    reaction::Monodomain tissue(gpu, cpu, cfg);
+    tissue.stimulate(0, 4, 0, 6, 40.0, 0.5);
+    tissue.run(2.0);
+    EXPECT_EQ(core::crc32(tissue.state_data()), w.cells);
+    expect_print(clock_print(gpu), w.device);
+    expect_print(clock_print(cpu), w.host);
   }
 }
 
