@@ -9,5 +9,4 @@
 #include "core/pool.hpp"
 #include "core/rng.hpp"
 #include "core/table.hpp"
-#include "core/threadpool.hpp"
 #include "core/view.hpp"

@@ -88,7 +88,6 @@ namespace {
 /// unknown backends collapse to "" rather than dangling.
 const char* intern_backend(const std::string& s) {
   if (s == "seq") return "seq";
-  if (s == "threads") return "threads";
   if (s == "device") return "device";
   return "";
 }

@@ -42,7 +42,7 @@ struct TraceEvent {
 
   Kind kind = Kind::Kernel;
   Bound bound = Bound::Memory;
-  const char* backend = "";  ///< static string ("seq"/"threads"/"device")
+  const char* backend = "";  ///< static string ("seq"/"device")
   std::string phase;         ///< timeline phase the event accrued to
   std::string label;         ///< kernel label (op kind when unlabeled)
   double flops = 0.0;

@@ -70,16 +70,6 @@ TEST(Exec, ForallComputesAndCounts) {
   EXPECT_GT(ctx.simulated_time(), 0.0);
 }
 
-TEST(Exec, ThreadsBackendMatchesSeq) {
-  auto seq = core::make_seq();
-  auto thr = core::make_threads();
-  std::vector<double> a(10000);
-  std::vector<double> b(10000);
-  seq.forall(a.size(), [&](std::size_t i) { a[i] = double(i) * 1.5; });
-  thr.forall(b.size(), [&](std::size_t i) { b[i] = double(i) * 1.5; });
-  EXPECT_EQ(a, b);
-}
-
 TEST(Exec, Forall3CoversAllIndices) {
   auto ctx = core::make_seq();
   std::vector<int> hits(3 * 4 * 5, 0);
@@ -91,12 +81,14 @@ TEST(Exec, Forall3CoversAllIndices) {
 }
 
 TEST(Exec, ReduceSumMatchesSerial) {
-  auto thr = core::make_threads();
-  const std::size_t n = 100000;
-  const double got = thr.reduce_sum(n, {}, [](std::size_t i) {
-    return static_cast<double>(i);
-  });
-  EXPECT_DOUBLE_EQ(got, double(n) * double(n - 1) / 2.0);
+  for (const auto b : {core::Backend::Seq, core::Backend::Device}) {
+    core::ExecContext ctx(b);
+    const std::size_t n = 100000;
+    const double got = ctx.reduce_sum(n, {}, [](std::size_t i) {
+      return static_cast<double>(i);
+    });
+    EXPECT_DOUBLE_EQ(got, double(n) * double(n - 1) / 2.0);
+  }
 }
 
 TEST(Exec, TimelinePhases) {
@@ -177,8 +169,8 @@ TEST(CostModel, AggregatePredictIsLowerBoundOnMixedWork) {
 }
 
 TEST(Exec, EmptyReductionsReturnIdentities) {
-  for (auto mk : {core::make_seq, core::make_threads}) {
-    auto ctx = mk();
+  for (const auto b : {core::Backend::Seq, core::Backend::Device}) {
+    core::ExecContext ctx(b);
     const double sum =
         ctx.reduce_sum(0, {}, [](std::size_t) { return 1.0; });
     EXPECT_DOUBLE_EQ(sum, 0.0);
@@ -296,50 +288,6 @@ TEST(Table, FormatsAligned) {
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("1.50"), std::string::npos);
   EXPECT_NE(s.find("|---"), std::string::npos);
-}
-
-TEST(ThreadPool, CoversRangeOnce) {
-  core::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, RepeatedDispatch) {
-  core::ThreadPool pool(3);
-  std::atomic<long> total{0};
-  for (int r = 0; r < 50; ++r) {
-    pool.parallel_for(100, [&](std::size_t lo, std::size_t hi) {
-      total.fetch_add(static_cast<long>(hi - lo));
-    });
-  }
-  EXPECT_EQ(total.load(), 5000);
-}
-
-TEST(ThreadPool, GuidedChunksCoverRangeOnce) {
-  // The guided scheduler splits the range into ~4x chunks claimed by an
-  // atomic counter; whatever the interleaving, each index runs exactly
-  // once. The plain lambda and the std::function-wrapped one bind the same
-  // templated entry point -- same contract.
-  core::ThreadPool pool(4);
-  for (const std::size_t n :
-       {std::size_t{1}, std::size_t{3}, std::size_t{17}, std::size_t{1000},
-        std::size_t{4099}}) {
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-    });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-
-    std::function<void(std::size_t, std::size_t)> erased =
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-        };
-    pool.parallel_for(n, erased);
-    for (auto& h : hits) EXPECT_EQ(h.load(), 2);
-  }
 }
 
 }  // namespace

@@ -159,20 +159,6 @@ TEST(Elliptic, RejectsOrdersOutsideKernelBound) {
   EXPECT_NO_THROW(fem::EllipticOperator(p10, fem::Assembly::Partial, 1.0, 1.0));
 }
 
-TEST(Elliptic, ThreadsBackendMatchesSeq) {
-  fem::TensorMesh2D mesh(5, 5, 3);
-  fem::EllipticOperator pa(mesh, fem::Assembly::Partial, 1.0, 1.0);
-  core::Rng rng(6);
-  std::vector<double> x(mesh.num_dofs()), y1(mesh.num_dofs()),
-      y2(mesh.num_dofs());
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  auto seq = core::make_seq();
-  auto thr = core::make_threads();
-  pa.apply(seq, x, y1);
-  pa.apply(thr, x, y2);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
-}
-
 TEST(Elliptic, MassMatrixIntegratesConstants) {
   // For u = 1: (M u)_i sums row i; total = integral of 1 over the domain.
   fem::TensorMesh2D mesh(4, 4, 3);

@@ -169,22 +169,4 @@ TEST(Fusion, MonodomainFusedBitwiseIdenticalFewerLaunches) {
   EXPECT_LT(sim1, sim0);
 }
 
-TEST(Fusion, ThreadsBackendComputesSameResults) {
-  // Fused stages under the thread pool: not a bitwise test (the guided
-  // chunking is deterministic, but reductions on Threads order-vary), but
-  // element-wise stage results must match the Seq backend exactly since
-  // every index is independent.
-  auto seq = core::make_seq();
-  auto thr = core::make_threads();
-  const std::size_t n = 10000;
-  std::vector<double> a(n), b(n);
-  for (std::size_t i = 0; i < n; ++i) a[i] = b[i] = 0.25 * double(i);
-  auto body = [](std::vector<double>& v) {
-    return [&v](std::size_t i) { v[i] = v[i] * 1.5 + 2.0; };
-  };
-  seq.fused(n).then({2.0, 16.0}, body(a)).launch();
-  thr.fused(n).then({2.0, 16.0}, body(b)).launch();
-  EXPECT_EQ(a, b);
-}
-
 }  // namespace

@@ -383,7 +383,6 @@ TEST_P(BackendPair, ReductionsMatchSerialSum) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendPair,
                          ::testing::Values(core::Backend::Seq,
-                                           core::Backend::Threads,
                                            core::Backend::Device));
 
 TEST(Property_Exec, ShadowModelsTrackPrimary) {
