@@ -1,7 +1,6 @@
 #include "md/replicated.hpp"
 
 #include <mutex>
-#include <span>
 
 #include "core/exec.hpp"
 #include "md/replica.hpp"
@@ -10,13 +9,11 @@ namespace coe::md {
 
 ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
   ReplicatedResult result;
-  result.reductions_per_step = cfg.aggregate ? 1 : 5;
   std::mutex mtx;
 
   result.traffic = mpi::run(ranks, [&](mpi::Communicator& comm) {
     core::ExecContext ctx;
     MdReplica rep(cfg, comm.rank(), ranks);
-    const std::size_t n = rep.n();
 
     net::NetStats stats;
     net::RankLogger logger(cfg.log, comm.rank());
@@ -29,24 +26,13 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
       logged_sim = s;
     };
 
-    // Partial forces over this rank's row slice, then the global sum:
-    // either one (3n+2)-wide collective carrying forces + energy + virial,
-    // or the five-round separate form.
+    // Partial forces over this rank's row slice, then the global sum: one
+    // (3n+2)-wide collective carrying forces + energy + virial.
     auto forces = [&] {
       rep.partial_forces(ctx);
       log_compute();
-      const std::span<double> agg = rep.agg();
-      if (cfg.aggregate) {
-        net::allreduce_sum(comm, agg, cfg.algo, &stats, logger);
-      } else {
-        for (std::size_t c = 0; c < 3; ++c) {
-          net::allreduce_sum(comm, agg.subspan(c * n, n), cfg.algo, &stats,
-                             logger);
-        }
-        for (std::size_t i = 3 * n; i < 3 * n + 2; ++i) {
-          agg[i] = net::allreduce_sum(comm, agg[i], cfg.algo, &stats, logger);
-        }
-      }
+      net::allreduce_sum(comm, rep.agg(),
+                         net::AllreduceAlgo::RecursiveDoubling, &stats, logger);
       rep.adopt_forces();
     };
 
@@ -64,7 +50,7 @@ ReplicatedResult replicated_md_run(int ranks, const ReplicatedConfig& cfg) {
     result.net.bytes += stats.bytes;
     result.net.reductions += stats.reductions;
     if (comm.rank() == 0) {
-      result.n = n;
+      result.n = rep.n();
       result.potential = rep.energy();
       result.virial = rep.virial();
       result.kinetic = rep.kinetic();

@@ -4,10 +4,9 @@
 // every rank holds the full system and integrates identically; the pair
 // force pass is split by neighbor-list rows, and one aggregated collective
 // per step sums the partial force arrays plus the energy and virial —
-// [fx | fy | fz | energy | virial] in a single (3n+2)-wide allreduce,
-// instead of five rounds. With a rank-count-only reduction tree (recursive
-// doubling, naive) the aggregated and separate forms reduce every element
-// through the identical association, so trajectories are bitwise equal.
+// [fx | fy | fz | energy | virial] in a single (3n+2)-wide recursive-doubling
+// allreduce. Recursive doubling associates every element by rank count
+// alone, so every rank holds bitwise the same sums.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,12 +27,6 @@ struct ReplicatedConfig {
   double dt = 0.002;
   int steps = 20;
   std::uint64_t seed = 2718;
-  /// One (3n+2)-wide allreduce per step vs five separate rounds.
-  bool aggregate = true;
-  /// Reduction algorithm. Note the ring chunks by vector length, so only
-  /// length-independent trees (RecursiveDoubling, Naive, Central) keep the
-  /// aggregated and separate forms bitwise identical to each other.
-  net::AllreduceAlgo algo = net::AllreduceAlgo::RecursiveDoubling;
 
   /// When set, every rank logs its collective traffic and the modeled
   /// compute deltas between reductions here (for coe::xray merging; not
@@ -52,7 +45,6 @@ struct ReplicatedResult {
   std::size_t n = 0;         ///< particle count
   mpi::TrafficStats traffic;
   net::NetStats net;         ///< summed over ranks
-  std::size_t reductions_per_step = 0;
   net::RepriceResult modeled;  ///< populated when cfg.log and cfg.cluster set
 };
 

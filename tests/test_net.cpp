@@ -654,29 +654,6 @@ TEST(Net, CgFusedReductionsAlsoExactUnderKernelFusion) {
   EXPECT_EQ(x00, x11);
 }
 
-TEST(Net, ReplicatedMdAggregatedMatchesSeparateBitwise) {
-  // One (3n+2)-wide allreduce vs five rounds: with a rank-count-only
-  // reduction tree both forms associate every element identically, so the
-  // trajectories must be bitwise equal while collective rounds drop 5x.
-  md::ReplicatedConfig cfg;
-  cfg.per_side = 4;
-  cfg.steps = 8;
-  cfg.aggregate = true;
-  const auto agg = md::replicated_md_run(3, cfg);
-  cfg.aggregate = false;
-  const auto sep = md::replicated_md_run(3, cfg);
-  EXPECT_EQ(agg.n, sep.n);
-  EXPECT_EQ(agg.potential, sep.potential);  // bitwise
-  EXPECT_EQ(agg.kinetic, sep.kinetic);
-  EXPECT_EQ(agg.virial, sep.virial);
-  EXPECT_EQ(agg.reductions_per_step, 1u);
-  EXPECT_EQ(sep.reductions_per_step, 5u);
-  EXPECT_EQ(agg.net.reductions * 5, sep.net.reductions);
-  EXPECT_LT(agg.net.messages, sep.net.messages);
-  // Same payload travels either way (forces + energy + virial).
-  EXPECT_DOUBLE_EQ(agg.net.bytes, sep.net.bytes);
-}
-
 TEST(Net, ReplicatedMdConservesAndMatchesSingleRank) {
   md::ReplicatedConfig cfg;
   cfg.per_side = 4;
