@@ -47,7 +47,6 @@ class World {
   }
 
   int size() const { return ranks_; }
-  bool recoverable() const { return opts_.recoverable; }
 
   int epoch() const {
     std::lock_guard<std::mutex> lk(mtx_);
@@ -599,8 +598,6 @@ void Communicator::allreduce_max(std::span<double> inout) {
 }
 
 void Communicator::barrier() { world_->barrier(rank_); }
-
-bool Communicator::recoverable() const { return world_->recoverable(); }
 
 int Communicator::epoch() const { return world_->epoch(); }
 

@@ -42,11 +42,6 @@ std::map<std::string, double> MetricsRegistry::counters() const {
   return counters_;
 }
 
-std::map<std::string, double> MetricsRegistry::gauges() const {
-  std::lock_guard<std::mutex> lk(mtx_);
-  return gauges_;
-}
-
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lk(mtx_);
   Json root = Json::object();

@@ -55,7 +55,6 @@ class MetricsRegistry {
 
   /// Snapshots for export.
   std::map<std::string, double> counters() const;
-  std::map<std::string, double> gauges() const;
 
   /// Serializes the whole registry as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,max}}}
