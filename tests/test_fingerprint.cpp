@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "amg/amg.hpp"
 #include "amr/two_level.hpp"
 #include "beamline/vbl.hpp"
 #include "core/crc32.hpp"
@@ -135,6 +138,88 @@ TEST(Fingerprint, NonlinearDiffusionWithJacobi) {
   expect_print(diffusion_print(false),
                {0x9aad7d4du, "0x1.a36f43979c282p-5", "0x1.58ded2p+25",
                 "0x1.52375p+24", 8528, 352, 204, 16});
+}
+
+// A 9-point operator on a non-square nx x ny grid whose coefficient varies
+// by three decades and is anisotropic in one band, so the strength graph
+// drops some connections and PMIS has real choices to make. Built here,
+// not by the FEM assembly, so the pin covers only the AMG setup.
+la::CsrMatrix varying_nine_point(std::size_t nx, std::size_t ny) {
+  auto id = [ny](std::size_t i, std::size_t j) { return i * ny + j; };
+  auto kappa = [&](std::size_t i, std::size_t j) {
+    return std::pow(10.0, 3.0 * double((i * 7 + j * 3) % 11) / 10.0);
+  };
+  std::vector<la::Triplet> t;
+  for (std::size_t i = 0; i < nx; ++i) {
+    for (std::size_t j = 0; j < ny; ++j) {
+      const std::size_t r = id(i, j);
+      double diag = 1e-3;
+      for (int di = -1; di <= 1; ++di) {
+        for (int dj = -1; dj <= 1; ++dj) {
+          if (di == 0 && dj == 0) continue;
+          const auto ni = std::ptrdiff_t(i) + di, nj = std::ptrdiff_t(j) + dj;
+          if (ni < 0 || nj < 0 || ni >= std::ptrdiff_t(nx) ||
+              nj >= std::ptrdiff_t(ny)) {
+            continue;
+          }
+          const auto ci = std::size_t(ni), cj = std::size_t(nj);
+          // Symmetric edge weight: mean coefficient of the two ends, the
+          // corner couplings a quarter of the face ones, x stronger than y
+          // in the band 5 <= i < 12.
+          double w = 0.5 * (kappa(i, j) + kappa(ci, cj));
+          if (di != 0 && dj != 0) w *= 0.25;
+          if (dj == 0 && i >= 5 && i < 12 && ci >= 5 && ci < 12) w *= 20.0;
+          t.push_back({r, id(ci, cj), -w});
+          diag += w;
+        }
+      }
+      t.push_back({r, r, diag});
+    }
+  }
+  return la::CsrMatrix::from_triplets(nx * ny, nx * ny, std::move(t));
+}
+
+struct AmgLevelPrint {
+  std::size_t rows, nnz;
+  std::uint32_t a, p, r, cf;
+};
+
+// Per level: the operator, P and R, and the C/F split PMIS makes on the
+// level's strength graph with the default options (the coarsest level,
+// which is not coarsened, pins cf = 0).
+TEST(Fingerprint, BoomerAmgHierarchy) {
+  const AmgLevelPrint want[] = {
+      {1271, 11011, 0xef32cb14u, 0x60021926u, 0xd28ebc2au, 0xaed4b36eu},
+      {280, 2130, 0xd47a1c28u, 0xbcb783e6u, 0xa2021a24u, 0x7b06b690u},
+      {81, 723, 0x6e36032cu, 0x313eda5fu, 0xf0ceaf5eu, 0xc190978cu},
+      {19, 137, 0x8809ef59u, 0x00000000u, 0x00000000u, 0x00000000u},
+  };
+  const std::uint32_t want_vcycle = 0x69e189edu;
+
+  amg::BoomerAmg solver(varying_nine_point(41, 31), {});
+  ASSERT_EQ(solver.num_levels(), std::size(want));
+  for (std::size_t l = 0; l < solver.num_levels(); ++l) {
+    const auto& lev = solver.level(l);
+    std::uint32_t cf = 0;
+    if (l + 1 < solver.num_levels()) {
+      const auto split =
+          amg::pmis_coarsen(amg::strength_graph(lev.a, 0.25));
+      cf = core::crc32(split.data(), split.size() * sizeof(split[0]));
+    }
+    EXPECT_EQ(lev.a.rows(), want[l].rows) << "level " << l;
+    EXPECT_EQ(lev.a.nnz(), want[l].nnz) << "level " << l;
+    EXPECT_EQ(crc_of(lev.a), want[l].a) << "level " << l;
+    EXPECT_EQ(crc_of(lev.p), want[l].p) << "level " << l;
+    EXPECT_EQ(crc_of(lev.r), want[l].r) << "level " << l;
+    EXPECT_EQ(cf, want[l].cf) << "level " << l;
+  }
+
+  core::Rng rng(5);
+  std::vector<double> r(solver.level(0).a.rows()), z(r.size());
+  for (auto& v : r) v = rng.uniform(-1.0, 1.0);
+  auto ctx = core::make_seq();
+  solver.apply(ctx, r, z);
+  EXPECT_EQ(core::crc32(z), want_vcycle);
 }
 
 // CRC32 of every patch's four conserved fields over the whole ghosted box,
