@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "la/smoothers.hpp"
@@ -10,23 +13,29 @@
 namespace coe::amg {
 
 la::CsrMatrix strength_graph(const la::CsrMatrix& a, double theta) {
-  std::vector<la::Triplet> strong;
   const auto rowptr = a.rowptr();
   const auto colind = a.colind();
   const auto values = a.values();
+  // Rows of A have ascending columns, so S is built row by row in CSR.
+  std::vector<std::size_t> srow(a.rows() + 1, 0);
+  std::vector<std::uint32_t> scol;
   for (std::size_t i = 0; i < a.rows(); ++i) {
     double max_off = 0.0;
     for (std::size_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
       if (colind[k] != i && -values[k] > max_off) max_off = -values[k];
     }
-    if (max_off <= 0.0) continue;
-    for (std::size_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
-      if (colind[k] != i && -values[k] >= theta * max_off) {
-        strong.push_back({i, colind[k], 1.0});
+    if (max_off > 0.0) {
+      for (std::size_t k = rowptr[i]; k < rowptr[i + 1]; ++k) {
+        if (colind[k] != i && -values[k] >= theta * max_off) {
+          scol.push_back(colind[k]);
+        }
       }
     }
+    srow[i + 1] = scol.size();
   }
-  return la::CsrMatrix::from_triplets(a.rows(), a.cols(), std::move(strong));
+  std::vector<double> ones(scol.size(), 1.0);
+  return la::CsrMatrix(a.rows(), a.cols(), std::move(srow), std::move(scol),
+                       std::move(ones));
 }
 
 std::vector<PointType> pmis_coarsen(const la::CsrMatrix& s,
@@ -53,40 +62,41 @@ std::vector<PointType> pmis_coarsen(const la::CsrMatrix& s,
     if (no_out && no_in) state[i] = kF;
   }
 
-  auto neighbors_undecided_or_c = [&](std::size_t i) {
-    // Union of S(i) and S^T(i) forms the PMIS neighborhood.
-    std::vector<std::size_t> nb;
-    for (std::size_t k = s.rowptr()[i]; k < s.rowptr()[i + 1]; ++k) {
-      nb.push_back(s.colind()[k]);
+  // The PMIS neighbourhood of i is S(i) followed by S^T(i); `visit` walks
+  // it in that order and stops at the first j for which f(j) is true.
+  const la::CsrMatrix* const graphs[] = {&s, &st};
+  auto visit = [&](std::size_t i, auto f) {
+    for (const la::CsrMatrix* g : graphs) {
+      const auto rp = g->rowptr();
+      const auto ci = g->colind();
+      for (std::size_t k = rp[i]; k < rp[i + 1]; ++k) {
+        if (f(ci[k])) return;
+      }
     }
-    for (std::size_t k = st.rowptr()[i]; k < st.rowptr()[i + 1]; ++k) {
-      nb.push_back(st.colind()[k]);
-    }
-    return nb;
   };
 
   bool changed = true;
+  std::vector<std::size_t> new_c;
   while (changed) {
     changed = false;
     // Select local maxima among undecided points as C.
-    std::vector<std::size_t> new_c;
+    new_c.clear();
     for (std::size_t i = 0; i < n; ++i) {
       if (state[i] != kUndecided) continue;
       bool is_max = true;
-      for (std::size_t j : neighbors_undecided_or_c(i)) {
-        if (state[j] == kUndecided && measure[j] > measure[i]) {
-          is_max = false;
-          break;
-        }
-      }
+      visit(i, [&](std::size_t j) {
+        if (state[j] == kUndecided && measure[j] > measure[i]) is_max = false;
+        return !is_max;
+      });
       if (is_max) new_c.push_back(i);
     }
     for (std::size_t i : new_c) {
       state[i] = kC;
       changed = true;
-      for (std::size_t j : neighbors_undecided_or_c(i)) {
+      visit(i, [&](std::size_t j) {
         if (state[j] == kUndecided) state[j] = kF;
-      }
+        return false;
+      });
     }
   }
 
@@ -121,14 +131,20 @@ la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
     if (cf[i] == PointType::Coarse) coarse_index[i] = nc++;
   }
 
-  // Strong-connection lookup per row of S.
-  std::vector<la::Triplet> trips;
+  // P row by row in CSR: a C point injects, an F point interpolates from
+  // its strong C neighbours in S's (ascending) column order, so the coarse
+  // columns ascend too.
+  std::vector<std::size_t> prow(n + 1, 0);
+  std::vector<std::uint32_t> pcol;
+  std::vector<double> pval;
   const auto ar = a.rowptr();
   const auto ac = a.colind();
   const auto av = a.values();
   for (std::size_t i = 0; i < n; ++i) {
+    prow[i] = pcol.size();
     if (cf[i] == PointType::Coarse) {
-      trips.push_back({i, coarse_index[i], 1.0});
+      pcol.push_back(static_cast<std::uint32_t>(coarse_index[i]));
+      pval.push_back(1.0);
       continue;
     }
     // Collect the strong coarse set C_i.
@@ -160,13 +176,16 @@ la::CsrMatrix direct_interpolation(const la::CsrMatrix& a,
       if (cf[j] != PointType::Coarse) continue;
       for (std::size_t l = ar[i]; l < ar[i + 1]; ++l) {
         if (ac[l] == j) {
-          trips.push_back({i, coarse_index[j], -alpha * av[l] / diag});
+          pcol.push_back(static_cast<std::uint32_t>(coarse_index[j]));
+          pval.push_back(-alpha * av[l] / diag);
           break;
         }
       }
     }
   }
-  return la::CsrMatrix::from_triplets(n, nc, std::move(trips));
+  prow[n] = pcol.size();
+  return la::CsrMatrix(n, nc, std::move(prow), std::move(pcol),
+                       std::move(pval));
 }
 
 BoomerAmg::BoomerAmg(la::CsrMatrix a_fine, const AmgOptions& opts)

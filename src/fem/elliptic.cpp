@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace coe::fem {
 
@@ -20,6 +21,25 @@ std::size_t checked_order(const TensorMesh2D& mesh) {
         ", got " + std::to_string(mesh.order()));
   }
   return mesh.order();
+}
+
+// The one switch over the orders the element kernels are compiled for:
+// calls f(std::integral_constant<std::size_t, order + 1>{}).
+template <typename F>
+void with_p1(const TensorMesh2D& mesh, F&& f) {
+  switch (mesh.order()) {
+    case 1: return f(std::integral_constant<std::size_t, 2>{});
+    case 2: return f(std::integral_constant<std::size_t, 3>{});
+    case 3: return f(std::integral_constant<std::size_t, 4>{});
+    case 4: return f(std::integral_constant<std::size_t, 5>{});
+    case 5: return f(std::integral_constant<std::size_t, 6>{});
+    case 6: return f(std::integral_constant<std::size_t, 7>{});
+    case 7: return f(std::integral_constant<std::size_t, 8>{});
+    case 8: return f(std::integral_constant<std::size_t, 9>{});
+    case 9: return f(std::integral_constant<std::size_t, 10>{});
+    case 10: return f(std::integral_constant<std::size_t, 11>{});
+    default: checked_order(mesh);  // throws; the constructor checked it
+  }
 }
 }  // namespace
 
@@ -113,19 +133,9 @@ void EllipticOperator::apply(core::ExecContext& ctx,
 void EllipticOperator::apply_partial(core::ExecContext& ctx,
                                      std::span<const double> x,
                                      std::span<double> y) const {
-  switch (mesh_->order()) {
-    case 1: return apply_partial_p<2, 3>(ctx, x, y);
-    case 2: return apply_partial_p<3, 4>(ctx, x, y);
-    case 3: return apply_partial_p<4, 5>(ctx, x, y);
-    case 4: return apply_partial_p<5, 6>(ctx, x, y);
-    case 5: return apply_partial_p<6, 7>(ctx, x, y);
-    case 6: return apply_partial_p<7, 8>(ctx, x, y);
-    case 7: return apply_partial_p<8, 9>(ctx, x, y);
-    case 8: return apply_partial_p<9, 10>(ctx, x, y);
-    case 9: return apply_partial_p<10, 11>(ctx, x, y);
-    case 10: return apply_partial_p<11, 12>(ctx, x, y);
-    default: checked_order(*mesh_);  // throws; the constructor checked it
-  }
+  with_p1(*mesh_, [&](auto p1) {
+    apply_partial_p<p1(), p1() + 1>(ctx, x, y);
+  });
 }
 
 template <std::size_t P1, std::size_t Q>
@@ -248,16 +258,24 @@ void EllipticOperator::apply_partial_p(core::ExecContext& ctx,
   }
 }
 
-void EllipticOperator::element_matrix(std::size_t ex, std::size_t ey,
-                                      std::span<double> m) const {
-  const std::size_t p1 = mesh_->order() + 1;
-  const std::size_t q = el_.quad.points.size();
-  const auto& T = el_.tab;
+template <std::size_t P1, std::size_t Q>
+void EllipticOperator::element_matrix_p(std::size_t ex, std::size_t ey,
+                                        std::span<double> m) const {
+  static_assert(Q == P1 + 1 && P1 <= kMaxP1);
+  constexpr std::size_t p1 = P1;
+  constexpr std::size_t q = Q;
+  constexpr std::size_t n2 = P1 * P1;
   const auto& w = el_.quad.weights;
+  double B[Q][P1], G[Q][P1];
+  for (std::size_t q1 = 0; q1 < q; ++q1) {
+    for (std::size_t i = 0; i < p1; ++i) {
+      B[q1][i] = el_.tab.b(q1, i);
+      G[q1][i] = el_.tab.g(q1, i);
+    }
+  }
   const double hx = mesh_->elem_hx(ex);
   const double hy = mesh_->elem_hy(ey);
   const std::size_t e = ex * mesh_->ny() + ey;
-  const std::size_t n2 = p1 * p1;
   std::fill(m.begin(), m.end(), 0.0);
   for (std::size_t q1 = 0; q1 < q; ++q1) {
     for (std::size_t q2 = 0; q2 < q; ++q2) {
@@ -268,12 +286,12 @@ void EllipticOperator::element_matrix(std::size_t ex, std::size_t ey,
       const double cy = beta_ * kq * ww * hx / hy;
       for (std::size_t i = 0; i < p1; ++i) {
         for (std::size_t j = 0; j < p1; ++j) {
-          const double bi = T.b(q1, i), bj = T.b(q2, j);
-          const double gi = T.g(q1, i), gj = T.g(q2, j);
+          const double bi = B[q1][i], bj = B[q2][j];
+          const double gi = G[q1][i], gj = G[q2][j];
           for (std::size_t k = 0; k < p1; ++k) {
             for (std::size_t l = 0; l < p1; ++l) {
-              const double bk = T.b(q1, k), bl = T.b(q2, l);
-              const double gk = T.g(q1, k), gl = T.g(q2, l);
+              const double bk = B[q1][k], bl = B[q2][l];
+              const double gk = G[q1][k], gl = G[q2][l];
               m[(i * p1 + j) * n2 + k * p1 + l] += cm * bi * bj * bk * bl +
                                                    cx * gi * bj * gk * bl +
                                                    cy * bi * gj * bk * gl;
@@ -285,34 +303,90 @@ void EllipticOperator::element_matrix(std::size_t ex, std::size_t ey,
   }
 }
 
+void EllipticOperator::element_matrix(std::size_t ex, std::size_t ey,
+                                      std::span<double> m) const {
+  with_p1(*mesh_, [&](auto p1) {
+    element_matrix_p<p1(), p1() + 1>(ex, ey, m);
+  });
+}
+
 void EllipticOperator::build_full() const {
-  const std::size_t p1 = mesh_->order() + 1;
+  // Direct CSR from the tensor-mesh sparsity, no triplets and no sort.
+  // Along one axis, an interior lattice index i (0 < i < n - 1) lies in the
+  // elements spanning [((i - 1) / p) p, (i / p + 1) p]: one element when i
+  // is inside an element, two when it is on an element line. Row (ix, iy)
+  // therefore couples with the interior nodes of the rectangle of xlen[ix]
+  // by ylen[iy] nodes from (xlo[ix], ylo[iy]), stored x-major like the dof
+  // numbering, so its columns ascend. A boundary row holds only its unit
+  // diagonal. Element entries are added in element order (ex, ey, i, j, k,
+  // l), so each duplicate sum has that order.
+  const std::size_t p = mesh_->order();
+  const std::size_t p1 = p + 1;
   const std::size_t n2 = p1 * p1;
-  const auto& bdr = mesh_->boundary_dofs();
+  const std::size_t nx = mesh_->ndof_x(), ny = mesh_->ndof_y();
+  auto span_of = [p](std::size_t n, std::vector<std::size_t>& lo,
+                     std::vector<std::size_t>& len) {
+    lo.assign(n, 0);
+    len.assign(n, 0);
+    for (std::size_t i = 1; i + 1 < n; ++i) {
+      lo[i] = std::max<std::size_t>((i - 1) / p * p, 1);
+      len[i] = std::min((i / p + 1) * p, n - 2) + 1 - lo[i];
+    }
+  };
+  std::vector<std::size_t> xlo, xlen, ylo, ylen;
+  span_of(nx, xlo, xlen);
+  span_of(ny, ylo, ylen);
+
+  std::vector<std::size_t> rowptr(mesh_->num_dofs() + 1, 0);
+  for (std::size_t ix = 0; ix < nx; ++ix) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      const std::size_t r = mesh_->dof(ix, iy);
+      rowptr[r + 1] =
+          rowptr[r] + (mesh_->is_boundary(r) ? 1 : xlen[ix] * ylen[iy]);
+    }
+  }
+  std::vector<std::uint32_t> colind(rowptr.back());
+  std::vector<double> values(rowptr.back(), 0.0);
+  for (std::size_t ix = 0; ix < nx; ++ix) {
+    for (std::size_t iy = 0; iy < ny; ++iy) {
+      const std::size_t r = mesh_->dof(ix, iy);
+      std::size_t k = rowptr[r];
+      if (mesh_->is_boundary(r)) {
+        colind[k] = static_cast<std::uint32_t>(r);
+        values[k] = 1.0;
+        continue;
+      }
+      for (std::size_t jx = xlo[ix]; jx < xlo[ix] + xlen[ix]; ++jx) {
+        for (std::size_t jy = ylo[iy]; jy < ylo[iy] + ylen[iy]; ++jy) {
+          colind[k++] = static_cast<std::uint32_t>(mesh_->dof(jx, jy));
+        }
+      }
+    }
+  }
+
   std::vector<double> m(n2 * n2);
-  std::vector<la::Triplet> trips;
-  trips.reserve(mesh_->num_elements() * n2 * n2 + bdr.size());
   for (std::size_t ex = 0; ex < mesh_->nx(); ++ex) {
     for (std::size_t ey = 0; ey < mesh_->ny(); ++ey) {
       element_matrix(ex, ey, m);
       for (std::size_t i = 0; i < p1; ++i) {
         for (std::size_t j = 0; j < p1; ++j) {
-          const std::size_t r = mesh_->elem_dof(ex, ey, i, j);
+          const std::size_t ix = ex * p + i, iy = ey * p + j;
+          const std::size_t r = mesh_->dof(ix, iy);
           if (mesh_->is_boundary(r)) continue;
           for (std::size_t k = 0; k < p1; ++k) {
             for (std::size_t l = 0; l < p1; ++l) {
-              const std::size_t c = mesh_->elem_dof(ex, ey, k, l);
-              if (mesh_->is_boundary(c)) continue;
-              trips.push_back({r, c, m[(i * p1 + j) * n2 + k * p1 + l]});
+              const std::size_t jx = ex * p + k, jy = ey * p + l;
+              if (mesh_->is_boundary(mesh_->dof(jx, jy))) continue;
+              values[rowptr[r] + (jx - xlo[ix]) * ylen[iy] + (jy - ylo[iy])] +=
+                  m[(i * p1 + j) * n2 + k * p1 + l];
             }
           }
         }
       }
     }
   }
-  for (std::size_t b : bdr) trips.push_back({b, b, 1.0});
-  full_ = la::CsrMatrix::from_triplets(mesh_->num_dofs(), mesh_->num_dofs(),
-                                       std::move(trips));
+  full_ = la::CsrMatrix(mesh_->num_dofs(), mesh_->num_dofs(), std::move(rowptr),
+                        std::move(colind), std::move(values));
   full_built_ = true;
 }
 

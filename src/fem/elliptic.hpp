@@ -83,6 +83,11 @@ class EllipticOperator final : public la::Operator {
   /// Writes the (p+1)^2 x (p+1)^2 element matrix, row-major, into `m`.
   void element_matrix(std::size_t ex, std::size_t ey,
                       std::span<double> m) const;
+  /// element_matrix with compile-time loop bounds, picked like
+  /// apply_partial_p.
+  template <std::size_t P1, std::size_t Q>
+  void element_matrix_p(std::size_t ex, std::size_t ey,
+                        std::span<double> m) const;
   void build_full() const;
 
   const TensorMesh2D* mesh_;

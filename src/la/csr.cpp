@@ -3,8 +3,40 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace coe::la {
+
+CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols,
+                     std::vector<std::size_t> rowptr,
+                     std::vector<std::uint32_t> colind,
+                     std::vector<double> values)
+    : rows_(rows), cols_(cols), rowptr_(std::move(rowptr)),
+      colind_(std::move(colind)), values_(std::move(values)) {
+  auto fail = [](const char* what) {
+    throw std::invalid_argument(std::string("CsrMatrix: ") + what);
+  };
+  if (rowptr_.size() != rows_ + 1 || rowptr_[0] != 0) {
+    fail("rowptr must have rows + 1 entries and start at 0");
+  }
+  if (rowptr_[rows_] != colind_.size() || colind_.size() != values_.size()) {
+    fail("rowptr must end at the size of colind and of values");
+  }
+  // Monotone first: with the end checked, every row then lies in colind.
+  for (std::size_t r = 0; r < rows_; ++r) {
+    if (rowptr_[r + 1] < rowptr_[r]) fail("rowptr must not decrease");
+  }
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t k = rowptr_[r]; k < rowptr_[r + 1]; ++k) {
+      const bool ascending = k == rowptr_[r] || colind_[k - 1] < colind_[k];
+      if (colind_[k] >= cols_ || !ascending) {
+        fail("columns must be below cols and strictly ascending in a row");
+      }
+    }
+  }
+}
 
 CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
                                    std::vector<Triplet> triplets) {
@@ -12,8 +44,7 @@ CsrMatrix CsrMatrix::from_triplets(std::size_t rows, std::size_t cols,
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   };
   // Strictly ascending keys have exactly one sorted order, so sorting them
-  // could not change the result (AMG's strength graph and interpolation
-  // build such input).
+  // could not change the result (kinetics/solver.cpp builds such input).
   const bool ascending =
       std::adjacent_find(triplets.begin(), triplets.end(),
                          [&](const Triplet& a, const Triplet& b) {

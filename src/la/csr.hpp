@@ -27,7 +27,17 @@ class CsrMatrix {
     rowptr_.assign(rows + 1, 0);
   }
 
-  /// Builds from triplets; duplicate (row, col) entries are summed.
+  /// Adopts ready CSR arrays. Throws std::invalid_argument unless `rowptr`
+  /// has rows + 1 entries, starts at 0, never decreases and ends at
+  /// colind.size() == values.size(), and every row's columns are strictly
+  /// ascending and below `cols` (the layout every builder here produces).
+  CsrMatrix(std::size_t rows, std::size_t cols,
+            std::vector<std::size_t> rowptr,
+            std::vector<std::uint32_t> colind, std::vector<double> values);
+
+  /// Builds from triplets; duplicate (row, col) entries are summed, in an
+  /// order std::sort leaves unspecified. Strictly ascending keys skip the
+  /// sort (they have one sorted order and nothing to sum).
   static CsrMatrix from_triplets(std::size_t rows, std::size_t cols,
                                  std::vector<Triplet> triplets);
 
@@ -75,11 +85,6 @@ class CsrMatrix {
            static_cast<double>(rows()) * (8.0 + 8.0);
   }
   double spmv_flops() const { return 2.0 * static_cast<double>(nnz()); }
-
-  /// Direct raw access for builders.
-  std::vector<std::size_t>& rowptr_mut() { return rowptr_; }
-  std::vector<std::uint32_t>& colind_mut() { return colind_; }
-  std::vector<double>& values_mut() { return values_; }
 
  private:
   std::size_t rows_ = 0, cols_ = 0;

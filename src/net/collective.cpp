@@ -251,21 +251,9 @@ void allreduce_sum(mpi::Communicator& comm, std::span<double> inout,
   allreduce(comm, inout, Op::Sum, algo, stats, logger);
 }
 
-double allreduce_sum(mpi::Communicator& comm, double v, AllreduceAlgo algo,
-                     NetStats* stats, RankLogger logger) {
-  allreduce(comm, std::span<double>(&v, 1), Op::Sum, algo, stats, logger);
-  return v;
-}
-
 void allreduce_max(mpi::Communicator& comm, std::span<double> inout,
                    AllreduceAlgo algo, NetStats* stats, RankLogger logger) {
   allreduce(comm, inout, Op::Max, algo, stats, logger);
-}
-
-double allreduce_max(mpi::Communicator& comm, double v, AllreduceAlgo algo,
-                     NetStats* stats, RankLogger logger) {
-  allreduce(comm, std::span<double>(&v, 1), Op::Max, algo, stats, logger);
-  return v;
 }
 
 std::function<void(std::span<double>)> logged_reduce(

@@ -64,12 +64,6 @@ void allreduce_sum(mpi::Communicator& comm, std::span<double> inout,
                    AllreduceAlgo algo, NetStats* stats = nullptr,
                    RankLogger logger = {});
 
-/// Scalar conveniences.
-double allreduce_sum(mpi::Communicator& comm, double v, AllreduceAlgo algo,
-                     NetStats* stats = nullptr, RankLogger logger = {});
-double allreduce_max(mpi::Communicator& comm, double v, AllreduceAlgo algo,
-                     NetStats* stats = nullptr, RankLogger logger = {});
-
 /// Vector max-allreduce (same structure as allreduce_sum with max combine).
 void allreduce_max(mpi::Communicator& comm, std::span<double> inout,
                    AllreduceAlgo algo, NetStats* stats = nullptr,

@@ -3,9 +3,16 @@
 // coupled nonlinear diffusion driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <iterator>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "fem/fem.hpp"
@@ -301,6 +308,166 @@ TEST(Lor, OrderOneLorEqualsAssembledOperator) {
   for (std::size_t k = 0; k < a.nnz(); ++k) {
     EXPECT_EQ(lor.colind()[k], a.colind()[k]);
     EXPECT_NEAR(lor.values()[k], a.values()[k], 1e-12);
+  }
+}
+
+// The triplet assembly that the direct CSR build replaced, with its
+// duplicates summed in element order: the runtime-bounded element matrix,
+// every entry between interior nodes of each element in (ex, ey, i, j, k, l)
+// order, a unit diagonal per boundary row, std::stable_sort by (row, col),
+// then each run of equal keys summed from 0. `kq(ex, ey, q1, q2)` is the
+// coefficient at a quadrature point. Also returns from_triplets' nnz.
+struct TripletAssembly {
+  std::vector<std::size_t> rowptr;
+  std::vector<std::uint32_t> colind;
+  std::vector<double> values;
+  std::size_t from_triplets_nnz;
+};
+
+TripletAssembly element_order_triplets(
+    const fem::TensorMesh2D& mesh, double alpha, double beta,
+    const std::function<double(std::size_t, std::size_t, std::size_t,
+                               std::size_t)>& kq) {
+  const std::size_t p1 = mesh.order() + 1, n2 = p1 * p1;
+  const auto el = fem::make_element(mesh.order());
+  const auto& T = el.tab;
+  const auto& w = el.quad.weights;
+  const std::size_t q = w.size();
+  std::vector<la::Triplet> trips;
+  std::vector<double> m(n2 * n2);
+  for (std::size_t ex = 0; ex < mesh.nx(); ++ex) {
+    for (std::size_t ey = 0; ey < mesh.ny(); ++ey) {
+      const double hx = mesh.elem_hx(ex), hy = mesh.elem_hy(ey);
+      std::fill(m.begin(), m.end(), 0.0);
+      for (std::size_t q1 = 0; q1 < q; ++q1) {
+        for (std::size_t q2 = 0; q2 < q; ++q2) {
+          const double ww = w[q1] * w[q2];
+          const double k = kq(ex, ey, q1, q2);
+          const double cm = alpha * ww * 0.25 * hx * hy;
+          const double cx = beta * k * ww * hy / hx;
+          const double cy = beta * k * ww * hx / hy;
+          for (std::size_t i = 0; i < p1; ++i) {
+            for (std::size_t j = 0; j < p1; ++j) {
+              for (std::size_t a = 0; a < p1; ++a) {
+                for (std::size_t b = 0; b < p1; ++b) {
+                  m[(i * p1 + j) * n2 + a * p1 + b] +=
+                      cm * T.b(q1, i) * T.b(q2, j) * T.b(q1, a) * T.b(q2, b) +
+                      cx * T.g(q1, i) * T.b(q2, j) * T.g(q1, a) * T.b(q2, b) +
+                      cy * T.b(q1, i) * T.g(q2, j) * T.b(q1, a) * T.g(q2, b);
+                }
+              }
+            }
+          }
+        }
+      }
+      for (std::size_t i = 0; i < p1; ++i) {
+        for (std::size_t j = 0; j < p1; ++j) {
+          const std::size_t r = mesh.elem_dof(ex, ey, i, j);
+          if (mesh.is_boundary(r)) continue;
+          for (std::size_t a = 0; a < p1; ++a) {
+            for (std::size_t b = 0; b < p1; ++b) {
+              const std::size_t c = mesh.elem_dof(ex, ey, a, b);
+              if (mesh.is_boundary(c)) continue;
+              trips.push_back({r, c, m[(i * p1 + j) * n2 + a * p1 + b]});
+            }
+          }
+        }
+      }
+    }
+  }
+  for (std::size_t b : mesh.boundary_dofs()) trips.push_back({b, b, 1.0});
+
+  TripletAssembly out;
+  out.from_triplets_nnz =
+      la::CsrMatrix::from_triplets(mesh.num_dofs(), mesh.num_dofs(), trips)
+          .nnz();
+  std::stable_sort(trips.begin(), trips.end(),
+                   [](const la::Triplet& x, const la::Triplet& y) {
+                     return x.row != y.row ? x.row < y.row : x.col < y.col;
+                   });
+  out.rowptr.assign(mesh.num_dofs() + 1, 0);
+  for (std::size_t t = 0; t < trips.size();) {
+    const std::size_t r = trips[t].row, c = trips[t].col;
+    double v = 0.0;
+    for (; t < trips.size() && trips[t].row == r && trips[t].col == c; ++t) {
+      v += trips[t].value;
+    }
+    out.colind.push_back(static_cast<std::uint32_t>(c));
+    out.values.push_back(v);
+    out.rowptr[r + 1] = out.colind.size();
+  }
+  for (std::size_t r = 0; r < mesh.num_dofs(); ++r) {
+    out.rowptr[r + 1] = std::max(out.rowptr[r + 1], out.rowptr[r]);
+  }
+  return out;
+}
+
+// Bit-for-bit comparison; reports the first differing entry only.
+template <typename T>
+void expect_same(std::span<const T> got, const std::vector<T>& want,
+                 const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k], want[k]) << what << " entry " << k << std::hexfloat
+                               << " (" << got[k] << " vs " << want[k] << ")";
+    if (got[k] != want[k]) break;
+  }
+}
+
+void expect_element_order(const la::CsrMatrix& got,
+                          const TripletAssembly& want,
+                          const std::string& what) {
+  EXPECT_EQ(got.nnz(), want.from_triplets_nnz) << what;
+  expect_same(got.rowptr(), want.rowptr, what + " rowptr");
+  expect_same(got.colind(), want.colind, what + " colind");
+  expect_same(got.values(), want.values, what + " values");
+}
+
+TEST(Elliptic, DirectAssemblyMatchesElementOrderTriplets) {
+  const double alpha = 0.3, beta = 1.7;
+  auto kappa = [](double x, double y) { return 1.0 + x + 0.5 * y * y; };
+  // Element lines at the GLL lattice of an order-3 mesh: non-uniform.
+  const fem::TensorMesh2D lattice(2, 1, 3);
+  for (std::size_t p = 1; p <= 10; ++p) {
+    const fem::TensorMesh2D meshes[] = {
+        fem::TensorMesh2D(3, 2, p), fem::TensorMesh2D(1, 1, p),
+        fem::TensorMesh2D(1, 3, p),
+        fem::TensorMesh2D(lattice.dof_xcoords(), lattice.dof_ycoords(), p)};
+    const char* names[] = {"3x2", "1x1", "1x3", "non-uniform 6x3"};
+    for (std::size_t c = 0; c < std::size(meshes); ++c) {
+      const auto& mesh = meshes[c];
+      const std::string what = "p=" + std::to_string(p) + " " + names[c];
+      fem::EllipticOperator fa(mesh, fem::Assembly::Full, alpha, beta);
+      fa.set_kappa(kappa);
+      const auto& pts = fem::make_element(p).quad.points;
+      expect_element_order(
+          fa.assembled_matrix(),
+          element_order_triplets(
+              mesh, alpha, beta,
+              [&](std::size_t ex, std::size_t ey, std::size_t q1,
+                  std::size_t q2) {
+                return kappa(mesh.quad_x(ex, pts[q1]),
+                             mesh.quad_y(ey, pts[q2]));
+              }),
+          what);
+
+      // The LOR matrix: order 1 on the mesh's GLL lattice, one coefficient
+      // per cell, the mean of its four corner values.
+      const fem::TensorMesh2D lor(mesh.dof_xcoords(), mesh.dof_ycoords(), 1);
+      auto k = [&](std::size_t ix, std::size_t iy) {
+        return kappa(mesh.dof_x(ix), mesh.dof_y(iy));
+      };
+      expect_element_order(
+          fa.assemble_lor(),
+          element_order_triplets(
+              lor, alpha, beta,
+              [&](std::size_t ex, std::size_t ey, std::size_t,
+                  std::size_t) {
+                return 0.25 * (k(ex, ey) + k(ex + 1, ey) + k(ex, ey + 1) +
+                               k(ex + 1, ey + 1));
+              }),
+          what + " lor");
+    }
   }
 }
 

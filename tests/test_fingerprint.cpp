@@ -74,10 +74,10 @@ OperatorPrint operator_print(std::size_t p) {
 
 TEST(Fingerprint, EllipticOperatorFields) {
   const OperatorPrint want[] = {
-      {1, 0x9f747317u, 0xb15e1b71u, 0x1e1a8936u, 0x7471c8c9u},
-      {2, 0x98eaec37u, 0x8803bd9bu, 0xf8f9ad96u, 0x5819073bu},
-      {4, 0x3d918908u, 0x4b9b936cu, 0x02a278b9u, 0x8426da87u},
-      {8, 0xfbbf36c9u, 0x516cb527u, 0x5885336eu, 0xe32a2745u},
+      {1, 0x9f747317u, 0xb15e1b71u, 0x1e1a8936u, 0x4814a424u},
+      {2, 0x98eaec37u, 0x8803bd9bu, 0xf8f9ad96u, 0xc5599571u},
+      {4, 0x3d918908u, 0x4b9b936cu, 0x02a278b9u, 0x0ec9cd4eu},
+      {8, 0xfbbf36c9u, 0x516cb527u, 0x5885336eu, 0x48cc90d9u},
   };
   for (const auto& w : want) {
     const auto got = operator_print(w.order);

@@ -151,18 +151,47 @@ TEST(Csr, FromTripletsSortedDuplicatesSumInStdSortOrder) {
   ASSERT_TRUE(permuted) << "std::sort kept the input order; the test "
                            "cannot tell the sort path from a skipped sort";
 
-  la::CsrMatrix want(3, 2);
+  std::vector<std::size_t> rowptr(4, 0);
+  std::vector<std::uint32_t> colind;
+  std::vector<double> values;
   for (std::size_t k = 0; k < ref.size();) {
     double v = 0.0;
     const std::size_t r = ref[k].row, c = ref[k].col;
     for (; k < ref.size() && ref[k].row == r && ref[k].col == c; ++k) {
       v += ref[k].value;
     }
-    want.colind_mut().push_back(static_cast<std::uint32_t>(c));
-    want.values_mut().push_back(v);
-    want.rowptr_mut()[r + 1] = want.colind_mut().size();
+    colind.push_back(static_cast<std::uint32_t>(c));
+    values.push_back(v);
+    rowptr[r + 1] = colind.size();
   }
+  const la::CsrMatrix want(3, 2, rowptr, colind, values);
   EXPECT_TRUE(same_csr(la::CsrMatrix::from_triplets(3, 2, trips), want));
+}
+
+TEST(Csr, ArrayConstructorAdoptsValidArraysAndRejectsMalformedOnes) {
+  // Row 0 = {0: 1, 2: 2}, row 1 empty, row 2 = {1: 3}.
+  const std::vector<std::size_t> rowptr{0, 2, 2, 3};
+  const std::vector<std::uint32_t> colind{0, 2, 1};
+  const std::vector<double> values{1.0, 2.0, 3.0};
+  const la::CsrMatrix m(3, 3, rowptr, colind, values);
+  EXPECT_TRUE(same_csr(
+      m, la::CsrMatrix::from_triplets(3, 3, {{0, 0, 1.0}, {0, 2, 2.0},
+                                             {2, 1, 3.0}})));
+
+  auto rejects = [](std::size_t rows, std::size_t cols,
+                    std::vector<std::size_t> rp, std::vector<std::uint32_t> ci,
+                    std::vector<double> v) {
+    EXPECT_THROW(la::CsrMatrix(rows, cols, rp, ci, v), std::invalid_argument);
+  };
+  rejects(3, 3, {0, 2, 2}, colind, values);           // rows + 1 entries
+  rejects(3, 3, {1, 2, 2, 3}, colind, values);        // starts at 0
+  rejects(3, 3, {0, 2, 1, 3}, colind, values);        // never decreases
+  rejects(3, 3, {0, 9, 2, 3}, colind, values);        // ... before the end
+  rejects(3, 3, {0, 2, 2, 2}, colind, values);        // ends at nnz
+  rejects(3, 3, rowptr, colind, {1.0, 2.0});          // values match colind
+  rejects(3, 2, rowptr, colind, values);              // columns below cols
+  rejects(3, 3, rowptr, {2, 0, 1}, values);           // ascending in a row
+  rejects(3, 3, rowptr, {2, 2, 1}, values);           // no duplicates
 }
 
 TEST(Csr, SpmvMatchesDense) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -183,8 +184,8 @@ TEST(Net, AllreduceSumAllAlgorithmsCorrect) {
           EXPECT_DOUBLE_EQ(v[i], rsum * double(i + 1))
               << algo_name(algo) << " ranks=" << ranks << " i=" << i;
         }
-        const double s =
-            net::allreduce_sum(comm, double(comm.rank()), algo);
+        double s = double(comm.rank());
+        net::allreduce_sum(comm, std::span<double>(&s, 1), algo);
         EXPECT_DOUBLE_EQ(s, double(ranks) * double(ranks - 1) / 2.0);
       });
     }
@@ -203,8 +204,8 @@ TEST(Net, AllreduceMaxAllAlgorithmsCorrect) {
       EXPECT_DOUBLE_EQ(v[0], 4.0) << algo_name(algo);
       EXPECT_DOUBLE_EQ(v[1], 0.0) << algo_name(algo);
       EXPECT_DOUBLE_EQ(v[2], 3.5) << algo_name(algo);
-      const double m =
-          net::allreduce_max(comm, double(comm.rank() * 2), algo);
+      double m = double(comm.rank() * 2);
+      net::allreduce_max(comm, std::span<double>(&m, 1), algo);
       EXPECT_DOUBLE_EQ(m, 8.0) << algo_name(algo);
     });
   }
