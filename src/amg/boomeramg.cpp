@@ -202,7 +202,6 @@ BoomerAmg::BoomerAmg(la::CsrMatrix a_fine, const AmgOptions& opts)
     AmgLevel level;
     level.a = std::move(a);
     level.diag = level.a.diagonal();
-    level.l1 = level.a.l1_row_sums();
     const std::size_t n = level.a.rows();
     level.x.assign(n, 0.0);
     level.b.assign(n, 0.0);

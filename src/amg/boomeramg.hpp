@@ -55,7 +55,6 @@ struct AmgLevel {
   la::CsrMatrix p;         ///< prolongation to this level's fine points
   la::CsrMatrix r;         ///< restriction (P^T)
   std::vector<double> diag;
-  std::vector<double> l1;
   // Work vectors sized for this level.
   mutable std::vector<double> x, b, tmp;
 };

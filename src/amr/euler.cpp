@@ -1,5 +1,6 @@
 #include "amr/euler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <vector>
@@ -44,21 +45,32 @@ std::array<double, 4> flux_y(const Cons& c, const PrimState& s) {
   return {c.my, c.mx * s.v, c.my * s.v + s.p, (c.e + s.p) * s.v};
 }
 
-/// LLF numerical flux between two cells along a given axis.
-std::array<double, 4> llf(const Cons& l, const Cons& r, bool xdir,
-                          double gamma) {
-  const PrimState pl = to_prim(l, gamma);
-  const PrimState pr = to_prim(r, gamma);
-  const auto fl = xdir ? flux_x(l, pl) : flux_y(l, pl);
-  const auto fr = xdir ? flux_x(r, pr) : flux_y(r, pr);
-  const double al =
-      (xdir ? std::abs(pl.u) : std::abs(pl.v)) + sound_speed(pl, gamma);
-  const double ar =
-      (xdir ? std::abs(pr.u) : std::abs(pr.v)) + sound_speed(pr, gamma);
-  const double a = std::max(al, ar);
+/// What the face fluxes read of one cell: its conserved state, its
+/// physical fluxes along x and y, and its signal speeds |u| + c_s and
+/// |v| + c_s. Built once per cell per step.
+struct CellState {
+  Cons u;
+  std::array<double, 4> fx, fy;
+  double ax, ay;
+};
+
+CellState cell_state(const Cons& c, double gamma) {
+  const PrimState s = to_prim(c, gamma);
+  const double cs = sound_speed(s, gamma);
+  return {c, flux_x(c, s), flux_y(c, s), std::abs(s.u) + cs,
+          std::abs(s.v) + cs};
+}
+
+/// Local Lax-Friedrichs flux across the face between cells l and r
+/// along x (`xdir`) or y.
+std::array<double, 4> face_flux(const CellState& l, const CellState& r,
+                                bool xdir) {
+  const auto& fl = xdir ? l.fx : l.fy;
+  const auto& fr = xdir ? r.fx : r.fy;
+  const double a = xdir ? std::max(l.ax, r.ax) : std::max(l.ay, r.ay);
   std::array<double, 4> f;
-  const double ul[4] = {l.rho, l.mx, l.my, l.e};
-  const double ur[4] = {r.rho, r.mx, r.my, r.e};
+  const double ul[4] = {l.u.rho, l.u.mx, l.u.my, l.u.e};
+  const double ur[4] = {r.u.rho, r.u.mx, r.u.my, r.u.e};
   for (int k = 0; k < 4; ++k) {
     f[k] = 0.5 * (fl[k] + fr[k]) - 0.5 * a * (ur[k] - ul[k]);
   }
@@ -140,9 +152,12 @@ void EulerSolver::step(double dt) {
   const double gamma = cfg_.gamma;
   const double dtdx = dt / cfg_.dx;
   const double dtdy = dt / cfg_.dy;
+  // Each cell's state is built once: two rolling rows of states (indexed
+  // by j - jlo + 1, so j = jlo - 1 and jhi + 1 fit) hold rows i and i + 1.
   // Each face flux is computed once: the y-face below a cell is carried
   // along j, and the x-faces left of row i are kept in one row buffer
   // (indexed by j) that each row overwrites with its right faces.
+  std::vector<CellState> cur, next;
   std::vector<std::array<double, 4>> xface;
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
     auto& patch = level_->patch(p);
@@ -153,45 +168,55 @@ void EulerSolver::step(double dt) {
     // ~220 flops and ~320 bytes per cell (4 fields, 2 flux pairs).
     ctx_->record_kernel({220.0 * double(b.size()), 320.0 * double(b.size())});
 
-    xface.resize(static_cast<std::size_t>(b.nj()));
-    for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-      xface[std::size_t(j - b.jlo)] =
-          llf(u.at(b.ilo - 1, j), u.at(b.ilo, j), true, gamma);
+    const std::size_t nj = static_cast<std::size_t>(b.nj());
+    cur.resize(nj + 2);
+    next.resize(nj + 2);
+    xface.resize(nj);
+    // States of row i: j in [jlo - 1, jhi + 1] when the row's cells are
+    // updated, else (rows ilo - 1 and ihi + 1) only j in [jlo, jhi].
+    auto load_row = [&](std::vector<CellState>& row, std::int64_t i,
+                        bool interior) {
+      const std::int64_t j0 = interior ? b.jlo - 1 : b.jlo;
+      const std::int64_t j1 = interior ? b.jhi + 1 : b.jhi;
+      for (std::int64_t j = j0; j <= j1; ++j) {
+        row[std::size_t(j - b.jlo + 1)] = cell_state(u.at(i, j), gamma);
+      }
+    };
+    load_row(next, b.ilo - 1, false);
+    load_row(cur, b.ilo, true);
+    for (std::size_t j = 0; j < nj; ++j) {
+      xface[j] = face_flux(next[j + 1], cur[j + 1], true);
     }
     for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-      std::array<double, 4> fyl =
-          llf(u.at(i, b.jlo - 1), u.at(i, b.jlo), false, gamma);
-      for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-        const Cons c = u.at(i, j);
-        auto& fxl = xface[std::size_t(j - b.jlo)];
-        const auto fxr = llf(c, u.at(i + 1, j), true, gamma);
-        const auto fyr = llf(c, u.at(i, j + 1), false, gamma);
-        const double uc[4] = {c.rho, c.mx, c.my, c.e};
+      load_row(next, i + 1, i < b.ihi);
+      std::array<double, 4> fyl = face_flux(cur[0], cur[1], false);
+      for (std::size_t j = 0; j < nj; ++j) {
+        const CellState& c = cur[j + 1];
+        auto& fxl = xface[j];
+        const auto fxr = face_flux(c, next[j + 1], true);
+        const auto fyr = face_flux(c, cur[j + 2], false);
+        const double uc[4] = {c.u.rho, c.u.mx, c.u.my, c.u.e};
         double un[4];
         for (int k = 0; k < 4; ++k) {
           un[k] = uc[k] - dtdx * (fxr[k] - fxl[k]) - dtdy * (fyr[k] - fyl[k]);
         }
-        unew.rho.at(i, j) = un[0];
-        unew.mx.at(i, j) = un[1];
-        unew.my.at(i, j) = un[2];
-        unew.e.at(i, j) = un[3];
+        const std::int64_t jj = b.jlo + std::int64_t(j);
+        unew.rho.at(i, jj) = un[0];
+        unew.mx.at(i, jj) = un[1];
+        unew.my.at(i, jj) = un[2];
+        unew.e.at(i, jj) = un[3];
         fxl = fxr;
         fyl = fyr;
       }
+      cur.swap(next);
     }
   }
-  // Commit.
+  // Commit: the new interiors become the conserved fields' storage; each
+  // conserved field keeps its own ghost ring.
   for (std::size_t p = 0; p < level_->num_patches(); ++p) {
     auto& patch = level_->patch(p);
-    const Box& b = patch.box();
     for (int k = 0; k < 4; ++k) {
-      auto& dst = patch.field(kCons[k]);
-      const auto& src = patch.field(kNew[k]);
-      for (std::int64_t i = b.ilo; i <= b.ihi; ++i) {
-        for (std::int64_t j = b.jlo; j <= b.jhi; ++j) {
-          dst.at(i, j) = src.at(i, j);
-        }
-      }
+      patch.field(kCons[k]).swap_interior(patch.field(kNew[k]));
     }
   }
   t_ += dt;

@@ -1,5 +1,8 @@
 #include "amr/patch.hpp"
 
+#include <stdexcept>
+#include <utility>
+
 namespace coe::amr {
 
 namespace {
@@ -44,6 +47,20 @@ auto fields_of(Level& level, const std::string& field) {
 }
 
 }  // namespace
+
+void PatchField::swap_interior(PatchField& other) {
+  const Box& a = grown_;
+  const Box& b = other.grown_;
+  if (ghost_ != other.ghost_ || a.ilo != b.ilo || a.jlo != b.jlo ||
+      a.ihi != b.ihi || a.jhi != b.jhi) {
+    throw std::invalid_argument(
+        "PatchField::swap_interior: fields have different boxes");
+  }
+  data_.swap(other.data_);
+  for_each_ghost(interior_, ghost_, [&](std::int64_t i, std::int64_t j) {
+    std::swap(at(i, j), other.at(i, j));
+  });
+}
 
 void PatchLevel::fill_ghosts(const std::string& field) {
   const auto src = fields_of(*this, field);

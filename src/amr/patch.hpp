@@ -78,6 +78,12 @@ class PatchField {
     return const_cast<PatchField*>(this)->at(i, j);
   }
 
+  /// Exchanges the interior values with `other` and leaves both fields'
+  /// ghost rings as they were: the storage is swapped, then the ghost
+  /// cells are swapped back. Both fields must have the same interior box
+  /// and ghost width (std::invalid_argument otherwise).
+  void swap_interior(PatchField& other);
+
  private:
   Box interior_;
   std::int64_t ghost_;

@@ -152,7 +152,6 @@ class ExecContext {
   /// so the machine model can price the launch.
   template <typename Body>
   void forall(std::size_t n, hsim::Workload w, Body&& body) {
-    launch_begin();
     dispatch(n, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) body(i);
     });
@@ -171,7 +170,6 @@ class ExecContext {
   template <typename Body>
   void forall2(std::size_t ni, std::size_t nj, hsim::Workload w, Body&& body) {
     const std::size_t n = ni * nj;
-    launch_begin();
     dispatch(n, [&, nj](std::size_t lo, std::size_t hi) {
       std::size_t i = lo / nj;
       std::size_t j = lo % nj;
@@ -193,7 +191,6 @@ class ExecContext {
   void forall3(std::size_t ni, std::size_t nj, std::size_t nk,
                hsim::Workload w, Body&& body) {
     const std::size_t n = ni * nj * nk;
-    launch_begin();
     dispatch(n, [&, nj, nk](std::size_t lo, std::size_t hi) {
       const std::size_t njk = nj * nk;
       std::size_t i = lo / njk;
@@ -218,7 +215,6 @@ class ExecContext {
   /// in index order.
   template <typename Body>
   double reduce_sum(std::size_t n, hsim::Workload w, Body&& body) {
-    launch_begin();
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) sum += body(i);
     launch_end(hsim::total(w, n), "reduce_sum");
@@ -228,7 +224,6 @@ class ExecContext {
   /// Max reduction; -DBL_MAX over an empty range.
   template <typename Body>
   double reduce_max(std::size_t n, hsim::Workload w, Body&& body) {
-    launch_begin();
     double m = -1.7976931348623157e308;
     for (std::size_t i = 0; i < n; ++i) {
       const double v = body(i);
@@ -299,7 +294,6 @@ class ExecContext {
 
   /// Charges an explicit cost (for kernels not expressible as forall).
   void record_kernel(const hsim::KernelCost& c) {
-    launch_begin();
     launch_end(c, "kernel");
   }
 
@@ -349,8 +343,6 @@ class ExecContext {
  private:
   template <std::size_t Dim, typename... Bodies>
   friend class FusedRegion;
-
-  void launch_begin() {}
 
   /// Runs chunk(0, n) inline; an empty range runs nothing.
   template <typename Chunk>

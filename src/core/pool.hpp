@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace coe::core {
@@ -98,6 +99,14 @@ class PoolArray {
   std::size_t size() const { return n_; }
   T& operator[](std::size_t i) { return data_[i]; }
   const T& operator[](std::size_t i) const { return data_[i]; }
+
+  /// Exchanges the two arrays' storage (and pools and sizes); no element
+  /// is copied.
+  void swap(PoolArray& other) noexcept {
+    std::swap(pool_, other.pool_);
+    std::swap(n_, other.n_);
+    std::swap(data_, other.data_);
+  }
 
  private:
   MemoryPool* pool_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "amr/euler.hpp"
 #include "amr/two_level.hpp"
@@ -46,6 +47,38 @@ TEST(Patch, PoolBackedFields) {
   amr::Patch q(pool, amr::Box{0, 0, 7, 7}, 2);
   q.add_field("rho");
   EXPECT_GT(pool.stats().reuse_count, 0u);
+}
+
+TEST(PatchField, SwapInteriorKeepsGhosts) {
+  core::MemoryPool pool;
+  const amr::Box box{2, -1, 5, 1};
+  amr::PatchField a(pool, box, 2);
+  amr::PatchField b(pool, box, 2);
+  auto va = [](std::int64_t i, std::int64_t j) {
+    return 1000.0 + 10.0 * double(i) + double(j);
+  };
+  auto vb = [](std::int64_t i, std::int64_t j) {
+    return -2000.0 - 10.0 * double(i) - double(j);
+  };
+  const amr::Box gb = box.grown(2);
+  for (std::int64_t i = gb.ilo; i <= gb.ihi; ++i) {
+    for (std::int64_t j = gb.jlo; j <= gb.jhi; ++j) {
+      a.at(i, j) = va(i, j);
+      b.at(i, j) = vb(i, j);
+    }
+  }
+  a.swap_interior(b);
+  for (std::int64_t i = gb.ilo; i <= gb.ihi; ++i) {
+    for (std::int64_t j = gb.jlo; j <= gb.jhi; ++j) {
+      const bool in = box.contains(i, j);
+      EXPECT_EQ(a.at(i, j), in ? vb(i, j) : va(i, j)) << i << "," << j;
+      EXPECT_EQ(b.at(i, j), in ? va(i, j) : vb(i, j)) << i << "," << j;
+    }
+  }
+  amr::PatchField other_box(pool, amr::Box{2, -1, 5, 2}, 2);
+  amr::PatchField other_ghost(pool, box, 1);
+  EXPECT_THROW(a.swap_interior(other_box), std::invalid_argument);
+  EXPECT_THROW(a.swap_interior(other_ghost), std::invalid_argument);
 }
 
 TEST(PatchLevel, GhostExchangeBetweenPatches) {
@@ -291,6 +324,62 @@ TEST(Euler, MultiPatch2x2MatchesSinglePatchBitwise) {
     const auto single = run(false);
     const auto multi = run(true);
     ASSERT_EQ(single.size(), 12u + 4u * 32u * 24u);
+    ASSERT_EQ(single.size(), multi.size());
+    for (std::size_t k = 0; k < single.size(); ++k) {
+      EXPECT_EQ(single[k], multi[k])
+          << "value " << k << (bc == amr::BoundaryKind::Periodic
+                                   ? " (periodic)"
+                                   : " (outflow)");
+    }
+  }
+}
+
+TEST(Euler, ThinPatchesMatchSinglePatchBitwise) {
+  // Patches one row high (ilo == ihi, so the first row of states is also
+  // the last), one column wide and a single cell must reproduce the
+  // single-patch run bit for bit, under both boundary kinds.
+  for (const auto bc :
+       {amr::BoundaryKind::Periodic, amr::BoundaryKind::Outflow}) {
+    auto run = [bc](bool split) {
+      core::MemoryPool pool;
+      amr::PatchLevel level(pool, amr::Box{0, 0, 11, 9}, 2, bc);
+      if (split) {
+        level.add_patch(amr::Box{0, 0, 0, 9});   // one row
+        level.add_patch(amr::Box{1, 0, 11, 0});  // one column
+        level.add_patch(amr::Box{1, 1, 1, 1});   // one cell
+        level.add_patch(amr::Box{1, 2, 1, 9});   // one row
+        level.add_patch(amr::Box{2, 1, 11, 9});
+      } else {
+        level.add_patch(amr::Box{0, 0, 11, 9});
+      }
+      auto ctx = core::make_seq();
+      amr::EulerConfig cfg;
+      cfg.dx = 1.0 / 12.0;
+      cfg.dy = 1.0 / 10.0;
+      amr::EulerSolver solver(ctx, level, cfg);
+      solver.init([](std::int64_t i, std::int64_t j) {
+        amr::PrimState s = amr::sod_state(i, 6);
+        s.rho += 0.25 / (1.0 + double((j - 4) * (j - 4)));
+        s.u = 0.2 - 0.02 * double(i);
+        s.v = -0.1 + 0.03 * double(j);
+        return s;
+      });
+      std::vector<double> out;
+      for (int step = 0; step < 10; ++step) {
+        out.push_back(solver.compute_dt());
+        solver.step(out.back());
+      }
+      for (std::int64_t i = 0; i < 12; ++i) {
+        for (std::int64_t j = 0; j < 10; ++j) {
+          const auto s = solver.primitive_at(i, j);
+          out.insert(out.end(), {s.rho, s.u, s.v, s.p});
+        }
+      }
+      return out;
+    };
+    const auto single = run(false);
+    const auto multi = run(true);
+    ASSERT_EQ(single.size(), 10u + 4u * 12u * 10u);
     ASSERT_EQ(single.size(), multi.size());
     for (std::size_t k = 0; k < single.size(); ++k) {
       EXPECT_EQ(single[k], multi[k])
